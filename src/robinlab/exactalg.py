@@ -2,14 +2,25 @@
 and fraction-based linear algebra.
 
 Coefficients are duck-typed field elements: anything supporting +, -, *, /,
-==, bool works (``fractions.Fraction``, :class:`GaussianRational`).  Rational
-functions are kept reduced with a monic denominator, so equality is plain
-coefficient comparison.
+==, bool works (``fractions.Fraction``, :class:`GaussianRational`).
+
+A rational function with rational coefficients (the Q(xi) of the torus side)
+is stored as a pair of integer polynomials, gcd-free, primitive together and
+with a positive leading denominator coefficient.  Arithmetic stays on the
+integers and reduces with a fraction-free gcd: a primitive polynomial
+remainder sequence, pseudo-remainders with ``math.gcd`` contents (Knuth,
+TAOCP vol. 2, 4.6.1; Collins 1967).  Other coefficients (the Q(i)(K) of the
+spanning ranks) keep the Euclidean algorithm over their field,
+:func:`reduce_over_field`.  Either way the public ``num``/``den`` are the same
+reduced coefficient tuples with a monic denominator (``Fraction`` for the
+rational case, derived once per instance), so equality is plain coefficient
+comparison.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 
@@ -80,7 +91,8 @@ class GaussianRational:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real element equals its Fraction, so it hashes as one
+        return hash((self.re, self.im)) if self.im else hash(self.re)
 
     def __bool__(self):
         return bool(self.re) or bool(self.im)
@@ -197,43 +209,160 @@ def poly_eval(p, x):
     return acc
 
 
+def reduce_over_field(num, den):
+    """(num, den) over a field with gcd 1 and a monic denominator, by the
+    Euclidean algorithm; a zero numerator gives den = (1,)."""
+    if not num:
+        return (), (_one_like(den[-1]),)
+    g = poly_gcd(num, den)
+    if len(g) > 1:
+        num = poly_divmod(num, g)[0]
+        den = poly_divmod(den, g)[0]
+    inv = _one_like(den[-1]) / den[-1]
+    return poly_scale(num, inv), poly_scale(den, inv)
+
+
+# -- integer polynomials: the Q route of RationalFunction
+
+def _zpoly_primitive(p):
+    c = gcd(*p)
+    return p if c == 1 else tuple(x // c for x in p)
+
+
+def _zpoly_prem(a, b):
+    """Pseudo-remainder of a by b over Z: lc(b)^k a mod b for the k that
+    keeps every step integral."""
+    r = list(a)
+    db = len(b) - 1
+    lead = b[-1]
+    while len(r) > db:
+        c = r.pop()
+        k = len(r) - db
+        r = [x * lead for x in r]
+        for j in range(db):
+            r[k + j] -= c * b[j]
+        while r and not r[-1]:
+            r.pop()
+    return tuple(r)
+
+
+def _zpoly_gcd(p, q):
+    """Primitive gcd, up to sign, of two nonzero integer polynomials, by the
+    primitive polynomial remainder sequence (Knuth, TAOCP 2, 4.6.1)."""
+    a, b = _zpoly_primitive(p), _zpoly_primitive(q)
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        r = _zpoly_prem(a, b)
+        if not r:
+            return b
+        a, b = b, _zpoly_primitive(r)
+    return (1,)
+
+
+def _zpoly_exquo(p, g):
+    """p / g for an integer polynomial g known to divide p over Z."""
+    r = list(p)
+    dg = len(g) - 1
+    quot = [0] * (len(p) - dg)
+    for k in range(len(quot) - 1, -1, -1):
+        c = quot[k] = r[k + dg] // g[-1]
+        for j in range(dg):
+            r[k + j] -= c * g[j]
+    return tuple(quot)
+
+
+def _clear_denominators(num, den):
+    """Integer polynomials with the ratio of rational num/den."""
+    scale = lcm(*(c.denominator for c in num + den))
+    return (tuple(c.numerator * (scale // c.denominator) for c in num),
+            tuple(c.numerator * (scale // c.denominator) for c in den))
+
+
+def _reduce_over_z(num, den):
+    """Canonical pair for integer num/den: coprime, primitive together,
+    positive leading denominator coefficient."""
+    if not num:
+        return (), (1,)
+    if len(num) > 1 and len(den) > 1:
+        g = _zpoly_gcd(num, den)
+        if len(g) > 1:
+            num, den = _zpoly_exquo(num, g), _zpoly_exquo(den, g)
+    c = gcd(*num, *den)
+    if den[-1] < 0:
+        c = -c
+    if c != 1:
+        num = tuple(x // c for x in num)
+        den = tuple(x // c for x in den)
+    return num, den
+
+
+_INT = frozenset({int})
+_RATIONAL = frozenset({int, Fraction})
+
+
 class RationalFunction:
-    """Reduced ratio of polynomials over a field, monic denominator.
+    """Reduced ratio of polynomials over a field.
+
+    With rational coefficients the ratio is held as integer polynomials
+    (``_n``, ``_d``): coprime, primitive together, with a positive leading
+    coefficient of ``_d``.  That form is canonical, so equality compares
+    integer tuples, and arithmetic reduces with a fraction-free gcd.  With
+    other coefficients (Gaussian rationals) ``_n``/``_d`` are the reduced
+    field polynomials with a monic denominator.  Either way the public
+    ``num``/``den`` are the reduced, monic-denominator coefficient tuples.
 
     The symbol is purely presentational; arithmetic never mixes symbols, so
     the constructor rejects mismatches.
     """
 
-    __slots__ = ("num", "den", "symbol")
+    __slots__ = ("_n", "_d", "_q", "symbol")
 
     def __init__(self, num, den=(1,), symbol="x"):
-        num = poly_trim(_coerce_coeffs(num if isinstance(num, (tuple, list)) else (num,)))
-        den = poly_trim(_coerce_coeffs(den if isinstance(den, (tuple, list)) else (den,)))
+        num = poly_trim(num if isinstance(num, (tuple, list)) else (num,))
+        den = poly_trim(den if isinstance(den, (tuple, list)) else (den,))
         if not den:
             raise ZeroDivisionError("rational function with zero denominator")
-        if num:
-            g = poly_gcd(num, den)
-            if len(g) > 1:
-                num = poly_divmod(num, g)[0]
-                den = poly_divmod(den, g)[0]
-            lead = den[-1]
-            num = poly_scale(num, _one_like(lead) / lead)
-            den = poly_scale(den, _one_like(lead) / lead)
+        kinds = set(map(type, num + den))
+        if kinds <= _RATIONAL:
+            if not kinds <= _INT:
+                num, den = _clear_denominators(num, den)
+            self._n, self._d = _reduce_over_z(num, den)
+            self._q = None                 # num/den, derived on first read
         else:
-            den = (_one_like(den[-1]),)
-        self.num = num
-        self.den = den
+            self._n, self._d = self._q = reduce_over_field(
+                _coerce_coeffs(num), _coerce_coeffs(den))
         self.symbol = symbol
+
+    @property
+    def _over_z(self):
+        return type(self._d[-1]) is int
+
+    def _fractions(self):
+        if self._q is None:
+            lead = self._d[-1]
+            self._q = (tuple(Fraction(c, lead) for c in self._n),
+                       tuple(Fraction(c, lead) for c in self._d))
+        return self._q
+
+    @property
+    def num(self):
+        """Reduced numerator coefficients (denominator made monic)."""
+        return self._fractions()[0]
+
+    @property
+    def den(self):
+        """Monic denominator coefficients."""
+        return self._fractions()[1]
 
     # -- constructors
     @classmethod
     def constant(cls, value, symbol="x"):
-        return cls((Fraction(value),) if isinstance(value, (int, Fraction)) else (value,),
-                   symbol=symbol)
+        return cls((value,), symbol=symbol)
 
     @classmethod
     def variable(cls, symbol="x"):
-        return cls((Fraction(0), Fraction(1)), symbol=symbol)
+        return cls((0, 1), symbol=symbol)
 
     # -- field ops
     def _check(self, other):
@@ -244,13 +373,19 @@ class RationalFunction:
         return RationalFunction.constant(other, symbol=self.symbol) \
             if isinstance(other, (int, Fraction, GaussianRational)) else NotImplemented
 
+    def _sum(self, other, combine):
+        if self._d == other._d:
+            return RationalFunction(combine(self._n, other._n), self._d,
+                                    self.symbol)
+        return RationalFunction(
+            combine(poly_mul(self._n, other._d), poly_mul(other._n, self._d)),
+            poly_mul(self._d, other._d), self.symbol)
+
     def __add__(self, other):
         other = self._check(other)
         if other is NotImplemented:
             return NotImplemented
-        return RationalFunction(
-            poly_add(poly_mul(self.num, other.den), poly_mul(other.num, self.den)),
-            poly_mul(self.den, other.den), self.symbol)
+        return self._sum(other, poly_add)
 
     __radd__ = __add__
 
@@ -258,9 +393,7 @@ class RationalFunction:
         other = self._check(other)
         if other is NotImplemented:
             return NotImplemented
-        return RationalFunction(
-            poly_sub(poly_mul(self.num, other.den), poly_mul(other.num, self.den)),
-            poly_mul(self.den, other.den), self.symbol)
+        return self._sum(other, poly_sub)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -269,8 +402,8 @@ class RationalFunction:
         other = self._check(other)
         if other is NotImplemented:
             return NotImplemented
-        return RationalFunction(poly_mul(self.num, other.num),
-                                poly_mul(self.den, other.den), self.symbol)
+        return RationalFunction(poly_mul(self._n, other._n),
+                                poly_mul(self._d, other._d), self.symbol)
 
     __rmul__ = __mul__
 
@@ -278,48 +411,49 @@ class RationalFunction:
         other = self._check(other)
         if other is NotImplemented:
             return NotImplemented
-        if not other.num:
+        if not other._n:
             raise ZeroDivisionError("division by zero rational function")
-        return RationalFunction(poly_mul(self.num, other.den),
-                                poly_mul(self.den, other.num), self.symbol)
+        return RationalFunction(poly_mul(self._n, other._d),
+                                poly_mul(self._d, other._n), self.symbol)
 
     def __rtruediv__(self, other):
         other = self._check(other)
         return other / self
 
     def __neg__(self):
-        return RationalFunction(poly_neg(self.num), self.den, self.symbol)
+        return RationalFunction(poly_neg(self._n), self._d, self.symbol)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
             other = RationalFunction.constant(other, symbol=self.symbol)
         if not isinstance(other, RationalFunction):
             return NotImplemented
+        if self._over_z and other._over_z:
+            return self._n == other._n and self._d == other._d
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        # on num/den, so equal values hash alike on either route
+        return hash(self._fractions())
 
     def __bool__(self):
-        return bool(self.num)
+        return bool(self._n)
 
     # -- structure queries
     @property
     def degree(self):
         """max(deg num, deg den); 0 for constants, -1 for zero."""
-        if not self.num:
+        if not self._n:
             return -1
-        return max(len(self.num) - 1, len(self.den) - 1)
+        return max(len(self._n) - 1, len(self._d) - 1)
 
     def is_constant(self):
-        return len(self.num) <= 1 and len(self.den) == 1
+        return len(self._n) <= 1 and len(self._d) == 1
 
     def constant_value(self):
         if not self.is_constant():
             raise ValueError(f"{self!r} is not constant")
-        if not self.num:
-            return Fraction(0)
-        return self.num[0] / self.den[0]
+        return self.num[0] if self._n else Fraction(0)
 
     def eval(self, x):
         return poly_eval(self.num, x) / poly_eval(self.den, x)
@@ -340,9 +474,10 @@ class RationalFunction:
                     parts.append(f"{c}*{self.symbol}^{k}" if c != 1
                                  else f"{self.symbol}^{k}")
             return " + ".join(parts).replace("+ -", "- ")
-        if self.den == (Fraction(1),) or self.den == (_one_like(self.den[-1]),):
-            return fmt(self.num)
-        return f"({fmt(self.num)})/({fmt(self.den)})"
+        num, den = self._fractions()
+        if den == (_one_like(den[-1]),):
+            return fmt(num)
+        return f"({fmt(num)})/({fmt(den)})"
 
 
 def _one_like(x):

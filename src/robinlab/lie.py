@@ -292,19 +292,13 @@ def conjugated_tangent(A: SquareMatrix, X: SquareMatrix) -> tuple:
             for c in range(k):
                 acc = acc + AX.rows[i][c] * last_col[c]
             out.append(acc)
-    route1 = _reorder_rowblocks_to_colblocks(n, out)
+    route1 = tuple(out)
 
     Ainv = SquareMatrix(exact_matrix_inverse([list(r) for r in A.rows]))
     route2 = flag_tangent((A @ X @ Ainv).strict_lower())
     if route1 != route2:
         raise AssertionError("conjugated-tangent routes disagree")
     return route2
-
-
-def _reorder_rowblocks_to_colblocks(n, vals):
-    """The contraction naturally produces, for k = 1..n-1, the k-th column
-    block (rows k+1..n); that already IS the standard order."""
-    return tuple(vals)
 
 
 # ---------------------------------------------------------------------------

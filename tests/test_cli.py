@@ -75,6 +75,58 @@ def test_torus_foliation(capsys):
     assert payload["eta"] == "num:[-2];den:[-1,1]"
 
 
+# full output bytes for three tuples with unequal, signed entries
+TORUS_BYTES = [
+    (("from-tuple", (3, -2, 5, 7, 4, 3)),
+     '{"tuple":[3,-2,5,7,4,3],"a":"num:[253/392,1];den:[481/784,10/7,1'
+     ']","b":"num:[93/196,3/14];den:[481/784,10/7,1]"}'),
+    (("foliation", (3, -2, 5, 7, 4, 3)),
+     '{"tuple":[3,-2,5,7,4,3],"A":"num:[253/84,14/3];den:[31/14,1]","B'
+     '":"num:[-481/168,-20/3,-14/3];den:[31/14,1]","C":"num:[205/42];d'
+     'en:[31/14,1]","eta":"num:[-205/147];den:[31/14,1]","d":"1/28","l'
+     '1_dir":[3,-2],"l2_dir":["num:[5,7];den:[1]",7],"subalgebra_gens"'
+     ':[["num:[9];den:[1]","num:[-6];den:[1]","num:[0];den:[1]","num:['
+     '0];den:[1]"],["num:[0];den:[1]","num:[0];den:[1]","num:[20,28];d'
+     'en:[1]","num:[28];den:[1]"],["num:[372,168];den:[1]","num:[0];de'
+     'n:[1]","num:[506,784];den:[1]","num:[820];den:[1]"]]}'),
+    (("from-tuple", (-7, 5, -3, 4, 2, 9)),
+     '{"tuple":[-7,5,-3,4,2,9],"a":"num:[-2883/64,1];den:[4005/64,-3/2'
+     ',1]","b":"num:[-117/32,-45/8];den:[4005/64,-3/2,1]"}'),
+    (("foliation", (-7, 5, -3, 4, 2, 9)),
+     '{"tuple":[-7,5,-3,4,2,9],"A":"num:[961/120,-8/45];den:[13/20,1]"'
+     ',"B":"num:[89/8,-4/15,8/45];den:[13/20,1]","C":"num:[-2089/360];'
+     'den:[13/20,1]","eta":"num:[-2089/3600];den:[13/20,1]","d":"1/8",'
+     '"l1_dir":[-7,5],"l2_dir":["num:[-3,4];den:[1]",4],"subalgebra_ge'
+     'ns":[["num:[-63];den:[1]","num:[45];den:[1]","num:[0];den:[1]","'
+     'num:[0];den:[1]"],["num:[0];den:[1]","num:[0];den:[1]","num:[-6,'
+     '8];den:[1]","num:[8];den:[1]"],["num:[-234,-360];den:[1]","num:['
+     '0];den:[1]","num:[-2883,64];den:[1]","num:[2089];den:[1]"]]}'),
+    (("from-tuple", (11, -13, 0, 1, 17, 19)),
+     '{"tuple":[11,-13,0,1,17,19],"a":"num:[-51623/289,1];den:[43681/2'
+     '89,0,1]","b":"num:[209/17,247/17];den:[43681/289,0,1]"}'),
+    (("foliation", (11, -13, 0, 1, 17, 19)),
+     '{"tuple":[11,-13,0,1,17,19],"A":"num:[-209/17,17/247];den:[11/13'
+     ',1]","B":"num:[-2299/221,0,-17/247];den:[11/13,1]","C":"num:[612'
+     '98/4199];den:[11/13,1]","eta":"num:[-61298/3211];den:[11/13,1]",'
+     '"d":"1/17","l1_dir":[11,-13],"l2_dir":["num:[0,1];den:[1]",1],"s'
+     'ubalgebra_gens":[["num:[209];den:[1]","num:[-247];den:[1]","num:'
+     '[0];den:[1]","num:[0];den:[1]"],["num:[0];den:[1]","num:[0];den:'
+     '[1]","num:[0,17];den:[1]","num:[17];den:[1]"],["num:[3553,4199];'
+     'den:[1]","num:[0];den:[1]","num:[-51623,289];den:[1]","num:[6129'
+     '8];den:[1]"]]}'),
+
+]
+
+
+@pytest.mark.parametrize("argv,expected", TORUS_BYTES,
+                         ids=[f"{cmd}-{'_'.join(map(str, t))}"
+                              for (cmd, t), _ in TORUS_BYTES])
+def test_torus_output_bytes(argv, expected, capsys):
+    cmd, t = argv
+    assert main(["torus", cmd, *map(str, t)]) == 0
+    assert capsys.readouterr().out == expected + "\n"
+
+
 def test_torus_classify(capsys):
     assert main(["torus", "classify", "--a", "num:[1,2];den:[2]",
                  "--b", "num:[0];den:[1]"]) == 0

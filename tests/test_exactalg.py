@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from robinlab.exactalg import (GAUSS_I, GaussianRational, RationalFunction,
                                Span, exact_matrix_inverse, exact_rank,
-                               poly_divmod, poly_gcd, poly_mul, rref)
+                               poly_divmod, poly_gcd, poly_mul, poly_scale,
+                               poly_trim, reduce_over_field, rref)
 
 fractions = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))
 
@@ -42,6 +43,46 @@ def test_field_inverse(x):
         assert x / x == one
         assert (one / x) * x == one
     assert x - x == RationalFunction((0,))
+
+
+@st.composite
+def planted_quotients(draw):
+    """(num, den) over Q sharing a planted factor; the numerator may be zero
+    and any leading coefficient negative."""
+    num = draw(st.lists(fractions, min_size=0, max_size=4))
+    den = draw(st.lists(fractions, min_size=1, max_size=4)
+               .filter(lambda c: any(c)))
+    common = draw(st.lists(fractions, min_size=1, max_size=3)
+                  .filter(lambda c: c[-1]))
+    return poly_mul(tuple(num), tuple(common)), poly_mul(tuple(den), tuple(common))
+
+
+def _same_reduction(x, ref_num, ref_den):
+    assert x.num == ref_num and x.den == ref_den
+    assert all(type(c) is Fraction for c in x.num + x.den)
+    assert hash(x) == hash((ref_num, ref_den))
+
+
+@given(planted_quotients())
+@settings(max_examples=200, deadline=None)
+def test_integer_route_matches_field_euclid(quotient):
+    num, den = quotient
+    ref_num, ref_den = reduce_over_field(poly_trim(num), poly_trim(den))
+    direct = RationalFunction(num, den)
+    _same_reduction(direct, ref_num, ref_den)
+    # the same quotient reached by arithmetic
+    top, bottom = RationalFunction(num), RationalFunction(den)
+    scale = Fraction(-2, 3)
+    for x in (top / bottom, top * (1 / bottom), (top / bottom + 3) - 3,
+              -(-top / bottom), top / (bottom * 2) * 2,
+              RationalFunction(poly_scale(num, scale), poly_scale(den, scale))):
+        assert x == direct
+        _same_reduction(x, ref_num, ref_den)
+    # the Q(i) route, which keeps the field Euclid, agrees in value
+    gauss = RationalFunction(tuple(map(GaussianRational, num)),
+                             tuple(map(GaussianRational, den)))
+    assert gauss == direct and direct == gauss and hash(gauss) == hash(direct)
+    assert gauss.num == ref_num and gauss.den == ref_den
 
 
 def test_reduction_is_canonical():

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from robinlab.acceptance import random_six_tuples
 from robinlab.errors import GcdViolation, SearchExhausted
 from robinlab.torus import (CaseTag, SixTuple, autC_integral_curve,
                             classify_direction, direction_from_tuple,
@@ -191,26 +192,33 @@ def test_scalar_serialization_round_trip():
 
 
 def test_against_sympy_oracle():
-    """Independent check of the sample-tuple values with sympy arithmetic."""
+    """Independent check with sympy arithmetic: the sample tuple and 20
+    seeded random tuples of height <= 20, each value in its reduced form
+    with a monic denominator."""
     sympy = pytest.importorskip("sympy")
     x = sympy.Symbol("xi")
-    t = SAMPLE
-    Mp = t.m_prime + t.n_prime * x
-    p1, p2, q1, q2 = Mp * t.p, t.n_prime * t.p, t.m * t.q, t.n * t.q
-    a_s = sympy.simplify((p1 * p2 + q1 * q2) / (p1 ** 2 + q1 ** 2))
-    b_s = sympy.simplify((p2 * q1 - p1 * q2) / (p1 ** 2 + q1 ** 2))
-    a, b = direction_from_tuple(t)
 
-    def to_sympy(r):
-        num = sum(sympy.Rational(c) * x ** k for k, c in enumerate(r.num))
-        den = sum(sympy.Rational(c) * x ** k for k, c in enumerate(r.den))
-        return sympy.simplify(num / den)
+    def reduced(expr):
+        num, den = sympy.fraction(sympy.cancel(sympy.together(expr)))
+        num, den = sympy.Poly(num, x), sympy.Poly(den, x)
+        lead = den.LC()
+        return tuple(tuple(c / lead for c in reversed(p.all_coeffs()))
+                     for p in (num, den))
 
-    assert sympy.simplify(to_sympy(a) - a_s) == 0
-    assert sympy.simplify(to_sympy(b) - b_s) == 0
-    A_s = sympy.simplify(a_s / b_s)
-    C_s = sympy.simplify((a_s ** 2 + b_s ** 2) / b_s)
-    assert sympy.simplify(-A_s ** 2 + (1 / b_s) * C_s - 1) == 0
-    fd = foliation_data(t)
-    assert sympy.simplify(to_sympy(fd.A) - A_s) == 0
-    assert sympy.simplify(to_sympy(fd.C) - C_s) == 0
+    def ours(r):
+        return (tuple(map(sympy.Rational, r.num)),
+                tuple(map(sympy.Rational, r.den)))
+
+    for t in [SAMPLE] + random_six_tuples(20, 20, seed=57):
+        Mp = t.m_prime + t.n_prime * x
+        p1, p2, q1, q2 = Mp * t.p, t.n_prime * t.p, t.m * t.q, t.n * t.q
+        a_s = (p1 * p2 + q1 * q2) / (p1 ** 2 + q1 ** 2)
+        b_s = (p2 * q1 - p1 * q2) / (p1 ** 2 + q1 ** 2)
+        A_s, B_s, C_s = a_s / b_s, -1 / b_s, (a_s ** 2 + b_s ** 2) / b_s
+        eta_s = (sympy.Rational(t.p, t.n * t.n_prime) * (p2 ** 2 + q2 ** 2)
+                 / (p2 * q1 - p1 * q2))
+        assert sympy.cancel(-A_s ** 2 - B_s * C_s - 1) == 0
+        fd = foliation_data(t)
+        for name, ref in (("a", a_s), ("b", b_s), ("A", A_s), ("B", B_s),
+                          ("C", C_s), ("eta", eta_s)):
+            assert ours(getattr(fd, name)) == reduced(ref), (t, name)

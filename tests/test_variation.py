@@ -79,6 +79,8 @@ def test_second_variation_translation_small_grid():
     # first variation of this even family vanishes at 0
     assert abs(rep.first_var_lhs) < 5e-3
     assert abs(rep.first_var_rhs) < 5e-3
+    # both sides vanish, so the mismatch is scaled by lambda(t0), not by them
+    assert rep.first_var_mismatch < 1e-3
 
 
 def test_second_variation_scaled_direction():
@@ -136,6 +138,9 @@ def test_first_variation_radial():
     lhs, rhs, mism = first_variation_check(fam, 0.0, nodes_per_axis=24)
     assert abs(lhs - 1.0) < 0.05
     assert abs(rhs - lhs) <= 0.10 * abs(lhs)
+    # |lhs| > |lambda(0)| = 1 here: the sides still set the scale
+    assert mism == pytest.approx(abs(rhs - lhs) / max(abs(lhs), abs(rhs)),
+                                 rel=1e-12)
 
 
 def test_first_variation_radial_off_center_t():
