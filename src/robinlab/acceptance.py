@@ -16,6 +16,14 @@ import numpy as np
 from . import geometry, green, lie, torus, variation
 
 
+def _within_budget(t0, budget):
+    """Time since t0 against a budget in seconds, as the tail of a PASS
+    line; AssertionError when over."""
+    elapsed = time.perf_counter() - t0
+    assert elapsed <= budget, f"runtime {elapsed:.1f}s > {budget} s budget"
+    return f"{elapsed:.1f}s of a {budget} s budget"
+
+
 def crit1_ball_robin():
     """Unit ball in C^2, c = 0, pole at center: lambda = -1 within 5% at 32
     nodes/axis and 2% at 48; runtime <= 2 min."""
@@ -27,9 +35,7 @@ def crit1_ball_robin():
         rel = abs(lam + 1.0)
         out.append(f"m={m}: lambda={lam:.6f} (|err|={rel:.2e}, tol {tol})")
         assert rel <= tol, out[-1]
-    elapsed = time.perf_counter() - t0
-    assert elapsed <= 120, f"runtime {elapsed:.0f}s > 2 min"
-    return "; ".join(out) + f"; {elapsed:.0f}s"
+    return "; ".join(out) + "; " + _within_budget(t0, 120)
 
 
 def crit2_offcenter_robin():
@@ -63,9 +69,7 @@ def crit3_second_variation():
         assert abs(rep.lhs + 2.0) <= 0.2, out[-1]
         assert rep.mismatch <= tol, out[-1]
         assert -rep.lhs > 0, "second derivative of -lambda should be positive"
-    elapsed = time.perf_counter() - t0
-    assert elapsed <= 300, f"runtime {elapsed:.0f}s > 5 min"
-    return "; ".join(out) + f"; {elapsed:.0f}s"
+    return "; ".join(out) + "; " + _within_budget(t0, 300)
 
 
 def crit4_first_variation():
@@ -146,9 +150,7 @@ def crit6_torus_identities():
         x3 = sc(Fraction(t.q, t.n_prime)) + fd.eta * fd.tuple_.big_m_prime
         x4 = fd.eta * t.n_prime
         assert _point_on_surface(fd.a, fd.b, x1, x2, x3, x4)
-    elapsed = time.perf_counter() - t0
-    assert elapsed <= 10, f"runtime {elapsed:.1f}s > 10 s"
-    return f"1000 tuples, all identities exact; {elapsed:.1f}s of a 10 s budget"
+    return "1000 tuples, all identities exact; " + _within_budget(t0, 10)
 
 
 def crit7_parabolic_oracle():
@@ -172,9 +174,8 @@ def crit7_parabolic_oracle():
             gens.append(lie.SquareMatrix.elementary(n, i, j))
         _check_closure_case(bases[n], n, gens)
         cases += 1
-    elapsed = time.perf_counter() - t0
-    assert elapsed <= 30, f"runtime {elapsed:.1f}s > 30 s"
-    return f"{cases} closures match the oracle exactly; {elapsed:.1f}s"
+    return (f"{cases} closures match the oracle exactly; "
+            + _within_budget(t0, 30))
 
 
 def _check_closure_case(base, n, gens):

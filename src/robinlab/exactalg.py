@@ -494,32 +494,17 @@ def _coerce_coeffs(coeffs):
 # exact linear algebra over any field
 # ---------------------------------------------------------------------------
 
-def rref(rows: Iterable[Sequence], zero=Fraction(0)) -> list[list]:
-    """Reduced row echelon form; returns the nonzero rows (pivots = 1).
+def rref(rows: Iterable[Sequence]) -> list[list]:
+    """Reduced row echelon form; returns the nonzero rows (pivots = 1) sorted
+    by pivot column.
 
     Works over any exact field.  Input rows are copied.
     """
-    mat = [list(r) for r in rows]
-    if not mat:
-        return []
-    ncols = len(mat[0])
     pivot_rows: list[list] = []
     pivot_cols: list[int] = []
-    for row in mat:
-        row = _reduce_against(row, pivot_rows, pivot_cols)
-        col = _first_nonzero(row)
-        if col is None:
-            continue
-        inv = row[col]
-        row = [c / inv for c in row]
-        for prow in pivot_rows:
-            c = prow[col]
-            if c:
-                for k in range(ncols):
-                    prow[k] = prow[k] - c * row[k]
-        pivot_rows.append(row)
-        pivot_cols.append(col)
-    order = sorted(range(len(pivot_rows)), key=lambda i: pivot_cols[i])
+    for row in rows:
+        _insert_row(row, pivot_rows, pivot_cols)
+    order = sorted(range(len(pivot_rows)), key=pivot_cols.__getitem__)
     return [pivot_rows[i] for i in order]
 
 
@@ -540,12 +525,30 @@ def _reduce_against(row, pivot_rows, pivot_cols):
     return row
 
 
+def _insert_row(row, pivot_rows, pivot_cols) -> bool:
+    """Reduce a copy of row against the echelon rows, scale its pivot to 1,
+    clear that column from the other rows and append it; False (nothing
+    appended) if row lies in their span."""
+    row = _reduce_against(row, pivot_rows, pivot_cols)
+    col = _first_nonzero(row)
+    if col is None:
+        return False
+    inv = row[col]
+    row = [c / inv for c in row]
+    for prow in pivot_rows:
+        c = prow[col]
+        if c:
+            for k in range(len(row)):
+                prow[k] = prow[k] - c * row[k]
+    pivot_rows.append(row)
+    pivot_cols.append(col)
+    return True
+
+
 class Span:
     """Incrementally built linear span with RREF-maintained basis."""
 
-    def __init__(self, ncols, zero=Fraction(0)):
-        self.ncols = ncols
-        self.zero = zero
+    def __init__(self):
         self.rows: list[list] = []
         self.pivot_cols: list[int] = []
 
@@ -553,33 +556,13 @@ class Span:
     def dim(self):
         return len(self.rows)
 
-    def residual(self, vec):
-        """vec reduced against the current basis (a copy)."""
-        return _reduce_against(vec, self.rows, self.pivot_cols)
-
     def contains(self, vec):
-        return _first_nonzero(self.residual(vec)) is None
+        return _first_nonzero(
+            _reduce_against(vec, self.rows, self.pivot_cols)) is None
 
     def add(self, vec) -> bool:
         """Insert vec; True if it enlarged the span."""
-        row = self.residual(vec)
-        col = _first_nonzero(row)
-        if col is None:
-            return False
-        inv = row[col]
-        row = [c / inv for c in row]
-        for prow in self.rows:
-            c = prow[col]
-            if c:
-                for k in range(self.ncols):
-                    prow[k] = prow[k] - c * row[k]
-        self.rows.append(row)
-        self.pivot_cols.append(col)
-        return True
-
-    def canonical_rows(self):
-        order = sorted(range(len(self.rows)), key=lambda i: self.pivot_cols[i])
-        return tuple(tuple(self.rows[i]) for i in order)
+        return _insert_row(vec, self.rows, self.pivot_cols)
 
 
 def exact_matrix_inverse(rows):

@@ -501,19 +501,14 @@ class RobinFunctionField:
     @classmethod
     def from_function(cls, fn, n: int):
         """Synthetic field backed by a callable on real coordinates."""
-        dom = None
-        obj = cls.__new__(cls)
-        obj.domain = dom
-        obj.poles = np.empty((0, 2 * n))
-        obj.Lambda = np.empty(0)
-        obj.c_spec = None
-        obj._fn = fn
-        obj._n = n
-        return obj
+        return cls(domain=None, poles=np.empty((0, 2 * n)),
+                   Lambda=np.empty(0), _fn=fn)
 
     @property
     def n(self) -> int:
-        return self.domain.n if self.domain is not None else self._n
+        if self.domain is not None:
+            return self.domain.n
+        return self.poles.shape[1] // 2
 
     def to_csv(self) -> str:
         dim = 2 * self.n

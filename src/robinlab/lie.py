@@ -164,15 +164,7 @@ class MatrixSubspace:
 
     def __init__(self, n: int, matrices: Iterable[SquareMatrix] = ()):
         self.n = n
-        rows = [flatten_matrix(m) for m in matrices]
-        self.rows = tuple(tuple(r) for r in rref(rows)) if rows else ()
-
-    @classmethod
-    def _from_rows(cls, n, rows):
-        obj = cls.__new__(cls)
-        obj.n = n
-        obj.rows = tuple(tuple(r) for r in rref(rows)) if rows else ()
-        return obj
+        self.rows = tuple(tuple(r) for r in rref(map(flatten_matrix, matrices)))
 
     @classmethod
     def from_positions(cls, n, positions):
@@ -247,37 +239,10 @@ def flag_tangent(X: SquareMatrix) -> tuple:
     return tuple(out)
 
 
-def flag_point_of_group_element(A: SquareMatrix) -> FlagPoint:
-    """Coordinates of A(O); needs all leading principal minors nonsingular."""
+def _minor_contraction(A: SquareMatrix, M: SquareMatrix) -> tuple:
+    """For k = 1..n-1 in turn: rows k..n-1 of the first k columns of M times
+    the last column of the inverse of A's leading k x k minor."""
     n = A.n
-    coords = []
-    for k in range(1, n):
-        lead = [row[:k] for row in A.rows[:k]]
-        try:
-            inv = exact_matrix_inverse(lead)
-        except ZeroDivisionError as exc:
-            raise SingularLeadingMinor(
-                f"leading {k}x{k} minor is singular") from exc
-        last_col = [inv[r][k - 1] for r in range(k)]
-        for i in range(k, n):
-            acc = GaussianRational(0)
-            for c in range(k):
-                acc = acc + A.rows[i][c] * last_col[c]
-            coords.append(acc)
-    return FlagPoint(n, tuple(coords))
-
-
-def conjugated_tangent(A: SquareMatrix, X: SquareMatrix) -> tuple:
-    """Tangent at the base point of t -> A exp(tX)(O) for upper triangular A.
-
-    Computed two exact ways: the block contraction (AX lower block times the
-    last inverse-minor column) and the strictly-lower part of A X A^{-1}; the
-    routes must agree identically.
-    """
-    if not A.is_upper_triangular():
-        raise ValidationError("A must be upper triangular")
-    n = A.n
-    AX = A @ X
     out = []
     for k in range(1, n):
         lead = [row[:k] for row in A.rows[:k]]
@@ -290,9 +255,26 @@ def conjugated_tangent(A: SquareMatrix, X: SquareMatrix) -> tuple:
         for i in range(k, n):
             acc = GaussianRational(0)
             for c in range(k):
-                acc = acc + AX.rows[i][c] * last_col[c]
+                acc = acc + M.rows[i][c] * last_col[c]
             out.append(acc)
-    route1 = tuple(out)
+    return tuple(out)
+
+
+def flag_point_of_group_element(A: SquareMatrix) -> FlagPoint:
+    """Coordinates of A(O); needs all leading principal minors nonsingular."""
+    return FlagPoint(A.n, _minor_contraction(A, A))
+
+
+def conjugated_tangent(A: SquareMatrix, X: SquareMatrix) -> tuple:
+    """Tangent at the base point of t -> A exp(tX)(O) for upper triangular A.
+
+    Computed two exact ways: the block contraction (AX lower block times the
+    last inverse-minor column) and the strictly-lower part of A X A^{-1}; the
+    routes must agree identically.
+    """
+    if not A.is_upper_triangular():
+        raise ValidationError("A must be upper triangular")
+    route1 = _minor_contraction(A, A @ X)
 
     Ainv = SquareMatrix(exact_matrix_inverse([list(r) for r in A.rows]))
     route2 = flag_tangent((A @ X @ Ainv).strict_lower())
@@ -310,9 +292,10 @@ class ClosureBase:
 
     `positions` is the set of (row, col) (0-based) the base may occupy; it
     must be closed under matrix composition so that the base is a bracket-
-    closed subspace.  Ad sampling uses the elementary one-parameter generators
-    of the base's group: I + s E_ij for off-diagonal positions with s in
-    {1, 2}, and diagonal rescalings at the diagonal positions.
+    closed subspace.  `parabolic_closure` brackets with the elementary
+    matrices E_ij at these positions and tracks only the complement part of
+    what it finds (`complement_part`, `complement_coords`); the base itself
+    enters the result through `basis_matrices`.
     """
 
     def __init__(self, n: int, positions: frozenset[tuple[int, int]], name: str):
@@ -335,16 +318,6 @@ class ClosureBase:
             out.append(E)
             out.append(GAUSS_I * E)
         return out
-
-    def ad_elementary_params(self):
-        """(i, j, s) for the unipotent generators I + s E_ij (0-based i, j)."""
-        return [(i, j, s) for (i, j) in sorted(self.positions) if i != j
-                for s in (1, 2)]
-
-    def ad_diagonal_params(self):
-        """(k, u) for the diagonal rescalings by u at slot k (0-based)."""
-        return [(k, u) for k in range(self.n) if (k, k) in self.positions
-                for u in (2, 3)]
 
     def complement_part(self, X: SquareMatrix) -> SquareMatrix:
         return SquareMatrix([[X.rows[i][j] if (i, j) not in self.positions else 0
@@ -385,84 +358,51 @@ def _bracket_with_elementary(X: SquareMatrix, i: int, j: int) -> SquareMatrix:
     return SquareMatrix(rows)
 
 
-def _ad_unipotent(X: SquareMatrix, i: int, j: int, s: int) -> SquareMatrix:
-    """(I + s E_ij) X (I - s E_ij) = X + s [E_ij, X] - s^2 X_ji E_ij."""
-    n = X.n
-    rows = [list(r) for r in X.rows]
-    for c in range(n):
-        rows[i][c] = rows[i][c] + s * X.rows[j][c]
-    for r in range(n):
-        rows[r][j] = rows[r][j] - s * X.rows[r][i]
-    rows[i][j] = rows[i][j] - s * s * X.rows[j][i]
-    return SquareMatrix(rows)
-
-
-def _ad_diagonal(X: SquareMatrix, k: int, u: int) -> SquareMatrix:
-    """D X D^{-1} for D = diag(1,..,u,..,1) with u in slot k."""
-    uinv = Fraction(1, u)
-    return SquareMatrix([
-        [x * u if r == k and c != k else (x * uinv if c == k and r != k else x)
-         for c, x in enumerate(row)]
-        for r, row in enumerate(X.rows)])
-
-
 def parabolic_closure(generators: Sequence[SquareMatrix],
                       base: ClosureBase) -> MatrixSubspace:
-    """Smallest C-subspace containing base and generators, closed under
-    brackets and under the complement part of Ad by the base's group.
+    """Smallest C-subalgebra containing base and generators.
 
-    Brackets are driven to a fixpoint first; the Ad sweep (unipotent
-    generators at s = 1, 2 and diagonal rescalings, enough samples because
-    entries depend polynomially on the parameters) then re-enters the bracket
-    loop only if it enlarges the span.  Terminates: the complement span grows
-    strictly, bounded by 2 n (n-1) real dimensions.
+    Complement parts enter a span and are bracketed with the base's
+    elementary matrices and with each other until no bracket enlarges the
+    span.  Terminates: the complement span grows strictly, bounded by
+    2 n (n-1) real dimensions.
+
+    The result V is also invariant under Ad of the base's group: V contains
+    the base b and [b, V] lies in V, so for every Y in b the map
+    Ad(exp Y) = exp(ad Y) preserves V, and the group is generated by such
+    exponentials (I + s E_ij = exp(s E_ij) for i != j, and a diagonal
+    rescaling by u > 0 in slot k is exp(log(u) E_kk)); see Humphreys,
+    Introduction to Lie Algebras and Representation Theory, section 8.
+    tests/test_lie.py checks this invariance directly.
     """
     n = base.n
     for g in generators:
         if g.n != n:
             raise DimensionMismatch("generator size differs from base")
-    span = Span(2 * len(base.complement))
-    ad_el = base.ad_elementary_params()
-    ad_di = base.ad_diagonal_params()
+    span = Span()
     base_positions = sorted(base.positions)
     processed: list[SquareMatrix] = []
     pending: list[SquareMatrix] = []
 
-    def offer(X: SquareMatrix) -> bool:
+    def offer(X: SquareMatrix):
         # a span that picks up X picks up iX too: complex linearity
-        added = False
         for M in (X, X.mul_i()):
             C = base.complement_part(M)
             if span.add(base.complement_coords(C)):
                 pending.append(C)
-                added = True
-        return added
 
     for g in generators:
         offer(g)
-    while True:
-        while pending:
-            X = pending.pop()
-            for (i, j) in base_positions:
-                # [X, c E_ij] for all complex c is covered: offer() adds both
-                # the bracket and its i-multiple
-                offer(_bracket_with_elementary(X, i, j))
-            for Y in processed:
-                offer(bracket(X, Y))
-            processed.append(X)
-        grew = False
-        for X in list(processed):
-            for (i, j, s) in ad_el:
-                grew |= offer(_ad_unipotent(X, i, j, s))
-            for (k, u) in ad_di:
-                grew |= offer(_ad_diagonal(X, k, u))
-        if not grew:
-            break
-
-    rows = [flatten_matrix(m) for m in base.basis_matrices()]
-    for X in processed:
-        rows.append(flatten_matrix(X))
-    return MatrixSubspace._from_rows(n, rows)
+    while pending:
+        X = pending.pop()
+        for (i, j) in base_positions:
+            # [X, c E_ij] for all complex c is covered: offer() adds both
+            # the bracket and its i-multiple
+            offer(_bracket_with_elementary(X, i, j))
+        for Y in processed:
+            offer(bracket(X, Y))
+        processed.append(X)
+    return MatrixSubspace(n, base.basis_matrices() + processed)
 
 
 # ---------------------------------------------------------------------------
@@ -506,18 +446,9 @@ def extract_composition(P: MatrixSubspace) -> Composition:
     verified by reconstructing the block parabolic, else NotParabolic.
     """
     n = P.n
-    merged = [P.contains(SquareMatrix.elementary(n, i + 2, i + 1))
-              for i in range(n - 1)]
-    parts = []
-    size = 1
-    for m in merged:
-        if m:
-            size += 1
-        else:
-            parts.append(size)
-            size = 1
-    parts.append(size)
-    comp = Composition(tuple(parts))
+    comp = _composition_from_bits(
+        P.contains(SquareMatrix.elementary(n, i + 2, i + 1))
+        for i in range(n - 1))
     if block_parabolic(comp) != P:
         raise NotParabolic(
             f"subspace does not match the block pattern of {comp.parts}")

@@ -158,6 +158,55 @@ def test_lie_closure_n3(tmp_path, capsys):
     assert payload["composition"] == [1, 1, 1]
 
 
+# full output bytes of `lie closure` on dense generators (a nonzero lower
+# first-column entry escapes the Hopf base) and of `lie hopf`
+LIE_CLOSURE_BYTES = [
+    (3, "flag", [[["1", "2"], "-3", "1/2"], [["2", "-1"], ["0", "1"], "4"],
+                 ["0", "0", "5"]],
+     '{"n":3,"base":"flag","dim":7,"composition":[2,1]}'),
+    (4, "flag", [[["1", "2"], "-3", "1/2", "2"], ["0", ["0", "1"], "4", ["1", "1"]],
+                 ["0", ["-2/3", "1"], "5", "-1"], ["0", "0", "0", ["3", "-1/2"]]],
+     '{"n":4,"base":"flag","dim":11,"composition":[1,2,1]}'),
+    (3, "hopf", [[["2", "1"], "1", "-1/3"], ["0", "3", ["1", "2"]],
+                 ["0", "1", "1"]],
+     '{"n":3,"base":"hopf","dim":7}'),
+    (3, "hopf", [["0", "1", "2"], ["0", "0", "1"], [["1", "-1"], "0", "0"]],
+     '{"n":3,"base":"hopf","dim":9}'),
+]
+
+
+@pytest.mark.parametrize("n,base,matrix,expected", LIE_CLOSURE_BYTES,
+                         ids=["flag3", "flag4", "hopf3", "hopf3-escape"])
+def test_lie_closure_output_bytes(n, base, matrix, expected, tmp_path, capsys):
+    p = tmp_path / "g.json"
+    p.write_text(json.dumps([matrix]))
+    assert main(["lie", "closure", "--n", str(n), "--base", base,
+                 "--gens", str(p)]) == 0
+    assert capsys.readouterr().out == expected + "\n"
+
+
+LIE_HOPF_BYTES = {
+    2: '{"n":2,"dim_x0":3,"dim_escape":4,"verdict":"dim fixes the fibration: '
+       'closure with E_11 has complex dimension 3 = 1 + n(n-1) = 3, so '
+       'invariant domains fiber over P^1 with one-dimensional torus fibers; a '
+       'nonzero c_j (j >= 2) escapes to all of M_2(C)"}',
+    3: '{"n":3,"dim_x0":7,"dim_escape":9,"verdict":"dim fixes the fibration: '
+       'closure with E_11 has complex dimension 7 = 1 + n(n-1) = 7, so '
+       'invariant domains fiber over P^2 with one-dimensional torus fibers; a '
+       'nonzero c_j (j >= 2) escapes to all of M_3(C)"}',
+    4: '{"n":4,"dim_x0":13,"dim_escape":16,"verdict":"dim fixes the fibration: '
+       'closure with E_11 has complex dimension 13 = 1 + n(n-1) = 13, so '
+       'invariant domains fiber over P^3 with one-dimensional torus fibers; a '
+       'nonzero c_j (j >= 2) escapes to all of M_4(C)"}',
+}
+
+
+@pytest.mark.parametrize("n", sorted(LIE_HOPF_BYTES))
+def test_lie_hopf_output_bytes(n, capsys):
+    assert main(["lie", "hopf", "--n", str(n)]) == 0
+    assert capsys.readouterr().out == LIE_HOPF_BYTES[n] + "\n"
+
+
 def test_lie_spanning_grassmann(capsys):
     assert main(["lie", "spanning", "--grassmann", "2", "1"]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -138,7 +138,7 @@ def test_rref_and_rank():
 
 
 def test_span_incremental():
-    sp = Span(3)
+    sp = Span()
     assert sp.add([Fraction(1), Fraction(0), Fraction(1)])
     assert not sp.add([Fraction(2), Fraction(0), Fraction(2)])
     assert sp.add([Fraction(0), Fraction(1), Fraction(0)])

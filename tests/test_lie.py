@@ -9,7 +9,8 @@ import scipy.linalg
 
 from robinlab.errors import (DimensionMismatch, NotParabolic,
                              SingularLeadingMinor, StarViolation)
-from robinlab.exactalg import GAUSS_I, GaussianRational, exact_rank
+from robinlab.exactalg import (GAUSS_I, GaussianRational,
+                               exact_matrix_inverse, exact_rank)
 from robinlab.lie import (Composition, MatrixSubspace, SquareMatrix,
                           block_parabolic, bracket, conjugated_tangent,
                           extract_composition, flag_base,
@@ -25,6 +26,25 @@ def random_int_matrix(rng, n, lo=-5, hi=5):
     return SquareMatrix([[GaussianRational(rng.randint(lo, hi),
                                            rng.randint(lo, hi))
                           for _ in range(n)] for _ in range(n)])
+
+
+def random_gauss(rng):
+    return GaussianRational(Fraction(rng.randint(-4, 4), rng.randint(1, 4)),
+                            Fraction(rng.randint(-4, 4), rng.randint(1, 4)))
+
+
+def dense_generator(rng, base, support):
+    """Gaussian-rational values at every base position and nonzero values at
+    the complement positions in support (0-based)."""
+    def nonzero():
+        while True:
+            z = random_gauss(rng)
+            if z:
+                return z
+    n = base.n
+    return SquareMatrix([[random_gauss(rng) if (i, j) in base.positions else
+                          (nonzero() if (i, j) in support else 0)
+                          for j in range(n)] for i in range(n)])
 
 
 # -- brackets ---------------------------------------------------------------
@@ -178,18 +198,60 @@ def test_extract_composition_rejects_non_parabolic():
 
 
 def test_oracle_equivalence_random():
+    """Elementary generators and dense ones with one or two subdiagonal
+    entries, against the brute-force minimal parabolic."""
     rng = random.Random(77)
     bases = {n: flag_base(n) for n in (3, 4, 5)}
     for _ in range(25):
         n = rng.choice([3, 4, 5])
+        lower = bases[n].complement
         gens = []
         for _ in range(rng.randint(1, 3)):
-            i = rng.randint(2, n)
-            gens.append(E(n, i, rng.randint(1, i - 1)))
+            if rng.random() < 0.5:
+                i, j = rng.choice(lower)
+                gens.append(E(n, i + 1, j + 1))
+            else:
+                support = rng.sample(lower, rng.randint(1, 2))
+                gens.append(dense_generator(rng, bases[n], support))
         P = parabolic_closure(gens, bases[n])
         comp = extract_composition(P)
         assert comp == minimal_parabolic_oracle(n, gens)
         assert P == block_parabolic(comp)
+
+
+def _base_group_samples(base):
+    """I + t E_ij for t = 1, 2 at every base position: unipotent elements
+    I + s E_ij (s = 1, 2) off the diagonal, and on it the rescalings
+    diag(1, .., u, .., 1) = I + (u - 1) E_kk by u = 2, 3."""
+    n = base.n
+    one = SquareMatrix.identity(n)
+    for (i, j) in sorted(base.positions):
+        for t in (1, 2):
+            yield one + t * E(n, i + 1, j + 1)
+
+
+@pytest.mark.parametrize("make", [flag_base, hopf_base])
+def test_closure_is_ad_invariant(make):
+    """g Y g^-1 stays in the closure P for every basis matrix Y of P and every
+    sampled element g of the base's group: the bracket fixpoint needs no
+    separate sweep over Ad.  Hopf generators stay inside the first column's
+    corner, since any lower first-column entry escapes to all of M_n."""
+    rng = random.Random(31)
+    for n in (2, 3, 4):
+        base = make(n)
+        lower = base.complement if make is flag_base else [(0, 0)]
+        for _ in range(3):
+            gens = [dense_generator(
+                        rng, base,
+                        rng.sample(lower, rng.randint(0, min(2, len(lower)))))
+                    for _ in range(rng.randint(1, 2))]
+            P = parabolic_closure(gens, base)
+            basis = P.basis_matrices()
+            for g in _base_group_samples(base):
+                g_inv = SquareMatrix(
+                    exact_matrix_inverse([list(r) for r in g.rows]))
+                for Y in basis:
+                    assert P.contains(g @ Y @ g_inv)
 
 
 def test_generalized_flag_fiber_dimension():
