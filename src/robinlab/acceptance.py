@@ -205,12 +205,7 @@ def crit9_spanning_ranks():
     rng = random.Random(99)
     details = []
     for (p, q) in ((1, 1), (2, 1), (2, 2), (3, 2)):
-        rows = [[0] * (p + q) for _ in range(p + q)]
-        for r in range(q):
-            for c in range(p):
-                rows[p + r][c] = rng.randint(-4, 4)
-        rows[p][0] = rng.randint(1, 4)      # guarantee a nonzero block
-        X = lie.SquareMatrix(rows)
+        X = lie.random_lower_block(p, q, rng, 4)
         rank = lie.grassmann_spanning_rank(p, q, X)
         assert rank == p * q, f"(p,q)=({p},{q}): rank {rank}"
         details.append(f"G({p},{p + q})={rank}")
@@ -220,9 +215,7 @@ def crit9_spanning_ranks():
         X = lie.SquareMatrix.elementary(n, 2, 1)
         vecs = []
         for _ in range(200):
-            rows = [[rng.randint(-3, 3) if c > r else (rng.randint(1, 3)
-                     if c == r else 0) for c in range(n)] for r in range(n)]
-            A = lie.SquareMatrix(rows)
+            A = lie.random_upper_triangular(n, rng, 3)
             tang = lie.conjugated_tangent(A, X)
             nfirst = n - 1
             assert all(not t for t in tang[nfirst:]), \

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 from fractions import Fraction
 
@@ -273,31 +274,19 @@ def cmd_lie(args):
     if args.lie_cmd == "spanning":
         if args.grassmann:
             p, q = args.grassmann
-            import random as _r
-            rng = _r.Random(0)
-            rows = [[0] * (p + q) for _ in range(p + q)]
-            for r in range(q):
-                for c in range(p):
-                    rows[p + r][c] = rng.randint(-3, 3)
-            rows[p][0] = 1
-            X = lie.SquareMatrix(rows)
+            X = lie.random_lower_block(p, q, random.Random(0), 3, lead=1)
             rank = lie.grassmann_spanning_rank(
                 p, q, X, K=args.K if args.K else None)
             _emit(args, {"p": p, "q": q, "rank": rank, "full": rank == p * q})
             return EXIT_OK
         if args.flag:
             n = args.flag
-            import random as _r
-            rng = _r.Random(0)
+            rng = random.Random(0)
             X = lie.SquareMatrix.elementary(n, 2, 1)
             from .exactalg import exact_rank
-            vecs = []
-            for _ in range(100):
-                rows = [[rng.randint(-3, 3) if c > r else
-                         (rng.randint(1, 3) if c == r else 0)
-                         for c in range(n)] for r in range(n)]
-                vecs.append(list(lie.conjugated_tangent(
-                    lie.SquareMatrix(rows), X)))
+            vecs = [list(lie.conjugated_tangent(
+                lie.random_upper_triangular(n, rng, 3), X))
+                for _ in range(100)]
             rank = exact_rank(vecs)
             _emit(args, {"n": n, "rank": rank, "max_possible": n * (n - 1) // 2,
                          "spanning": rank == n * (n - 1) // 2})

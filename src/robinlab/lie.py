@@ -283,6 +283,15 @@ def conjugated_tangent(A: SquareMatrix, X: SquareMatrix) -> tuple:
     return route2
 
 
+def random_upper_triangular(n: int, rng, bound: int) -> SquareMatrix:
+    """Integer upper triangular matrix drawn row by row from a
+    `random.Random`: entries above the diagonal in [-bound, bound], diagonal
+    entries in [1, bound], so every leading minor is nonsingular."""
+    return SquareMatrix([[rng.randint(-bound, bound) if c > r else
+                          (rng.randint(1, bound) if c == r else 0)
+                          for c in range(n)] for r in range(n)])
+
+
 # ---------------------------------------------------------------------------
 # pattern bases and the parabolic closure
 # ---------------------------------------------------------------------------
@@ -523,6 +532,20 @@ def _kfield_const(x) -> RationalFunction:
 def _kfield_var() -> RationalFunction:
     return RationalFunction((GaussianRational(0), GaussianRational(1)),
                             (GaussianRational(1),), symbol="K")
+
+
+def random_lower_block(p: int, q: int, rng, bound: int,
+                       lead: Optional[int] = None) -> SquareMatrix:
+    """(p+q) x (p+q) integer matrix that is zero outside its lower-left
+    q x p block, whose entries a `random.Random` draws row by row from
+    [-bound, bound].  The block's first entry is then set to `lead`, or drawn
+    from [1, bound] when lead is None, so the block is never zero."""
+    rows = [[0] * (p + q) for _ in range(p + q)]
+    for r in range(q):
+        for c in range(p):
+            rows[p + r][c] = rng.randint(-bound, bound)
+    rows[p][0] = rng.randint(1, bound) if lead is None else lead
+    return SquareMatrix(rows)
 
 
 def grassmann_spanning_rank(p: int, q: int, X: SquareMatrix,

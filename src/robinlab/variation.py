@@ -348,48 +348,57 @@ def _check_pole_blocks(results):
 # quadrature helpers
 # ---------------------------------------------------------------------------
 
-def hyperplane_cell_area(normal: np.ndarray, offset: float, h: np.ndarray) -> float:
+def hyperplane_cell_area(normal: np.ndarray, offset, h: np.ndarray):
     """(d-1)-volume of {x : normal . x = offset} inside the box prod [0, h_d].
+
+    Batched over cells: ``normal`` has shape (..., d) and ``offset`` shape
+    (...); one cell (a (d,) normal and a scalar offset) gives a float.
 
     Exact for the linear model: the derivative of the box's sublevel volume,
     V'(c) = sum_v (-1)^{|v|} (c - n.v)_+^{d-1} / ((d-1)! prod n_d), scaled by
-    |normal|.  Axes with negligible normal component factor out.
+    |normal| (Lasserre, J. Optim. Theory Appl. 39, 1983).  Axes with
+    negligible normal component factor out, so the cells are grouped by
+    their pattern of active axes.
     """
-    nvec = np.asarray(normal, dtype=float).copy()
+    nvec = np.asarray(normal, dtype=float)
     h = np.asarray(h, dtype=float)
-    norm = float(np.linalg.norm(nvec))
-    if norm == 0.0:
-        return 0.0
-    active = np.abs(nvec) > 1e-12 * norm
-    # inactive axes factor out their full edge length
-    scale = float(np.prod(h[~active]))
-    n = nvec[active]
-    hh = h[active]
-    c = offset
-    # reflect x_k -> h_k - x_k so every component is positive
-    for k in range(len(n)):
-        if n[k] < 0:
-            c -= n[k] * hh[k]
-            n[k] = -n[k]
-    d = len(n)
-    if d == 0:
-        return 0.0
-    if d == 1:
-        return (scale * norm / n[0]) if 0.0 < c < n[0] * hh[0] else 0.0
-    # Lasserre: V'(c) = sum_v (-1)^{|v|} (c - n.v)_+^{d-1} / ((d-1)! prod n_k)
-    # over box vertices v; Area = |normal| V'(c)
-    total = 0.0
-    for mask in range(1 << d):
-        s = c
-        bits = 0
+    batch = nvec.shape[:-1]
+    nvec = nvec.reshape(-1, nvec.shape[-1])
+    offset = np.broadcast_to(np.asarray(offset, dtype=float), batch).reshape(-1)
+    norm = np.linalg.norm(nvec, axis=-1)
+    active = np.abs(nvec) > 1e-12 * norm[:, None]
+    pattern = active @ (1 << np.arange(nvec.shape[-1]))
+    area = np.zeros(len(nvec))     # d = 0 (a zero normal) has no area
+    for code in np.unique(pattern[pattern > 0]):
+        rows = np.flatnonzero(pattern == code)
+        on = active[rows[0]]
+        d = int(on.sum())
+        # inactive axes factor out their full edge length
+        scale = float(np.prod(h[~on]))
+        n = nvec[rows][:, on]
+        hh = h[on]
+        c = offset[rows]
+        # reflect x_k -> h_k - x_k so every component is positive
         for k in range(d):
-            if mask >> k & 1:
-                s -= n[k] * hh[k]
-                bits += 1
-        if s > 0.0:
-            total += (-1) ** bits * s ** (d - 1)
-    total /= math.factorial(d - 1) * float(np.prod(n))
-    return float(scale * norm * total)
+            c = c - np.minimum(n[:, k], 0.0) * hh[k]
+        n = np.abs(n)
+        if d == 1:
+            inside = (0.0 < c) & (c < n[:, 0] * hh[0])
+            area[rows] = np.where(inside, scale * norm[rows] / n[:, 0], 0.0)
+            continue
+        # Lasserre: V'(c) = sum_v (-1)^{|v|} (c - n.v)_+^{d-1} / ((d-1)! prod n_k)
+        # over box vertices v; Area = |normal| V'(c)
+        nh = n * hh
+        total = np.zeros(len(rows))
+        for mask in range(1 << d):
+            s = c
+            for k in range(d):
+                if mask >> k & 1:
+                    s = s - nh[:, k]
+            total += (-1) ** bin(mask).count("1") * np.maximum(s, 0.0) ** (d - 1)
+        total /= math.factorial(d - 1) * np.prod(n, axis=-1)
+        area[rows] = scale * norm[rows] * total
+    return float(area[0]) if batch == () else area.reshape(batch)
 
 
 def _boundary_quadrature(family, t, domain: GridDomain):
@@ -426,11 +435,7 @@ def _boundary_quadrature(family, t, domain: GridDomain):
     # the area weight comes from the cell-linear model anchored at the center
     val_c = np.asarray(family.psi(t, real_to_complex(centers)), dtype=float)
     gx_c = real_grad(centers)
-    areas = np.empty(len(cells))
-    half = 0.5 * domain.h
-    for k in range(len(cells)):
-        offset = float(np.dot(gx_c[k], half)) - val_c[k]
-        areas[k] = hyperplane_cell_area(gx_c[k], offset, domain.h)
+    areas = hyperplane_cell_area(gx_c, gx_c @ (0.5 * domain.h) - val_c, domain.h)
     # quadrature points: two Newton projections of the centers
     x = centers
     for _ in range(2):

@@ -207,6 +207,24 @@ def test_lie_hopf_output_bytes(n, capsys):
     assert capsys.readouterr().out == LIE_HOPF_BYTES[n] + "\n"
 
 
+# full output bytes of `lie spanning`, taken before its generators were
+# shared with criterion 9: the seeds and the drawn matrices must not move
+LIE_SPANNING_BYTES = [
+    (["--grassmann", "2", "1"], '{"p":2,"q":1,"rank":2,"full":true}'),
+    (["--grassmann", "3", "2", "--K", "1000"],
+     '{"p":3,"q":2,"rank":6,"full":true}'),
+    (["--flag", "3"], '{"n":3,"rank":1,"max_possible":3,"spanning":false}'),
+    (["--flag", "4"], '{"n":4,"rank":1,"max_possible":6,"spanning":false}'),
+]
+
+
+@pytest.mark.parametrize("argv,expected", LIE_SPANNING_BYTES,
+                         ids=["grassmann21", "grassmann32-K", "flag3", "flag4"])
+def test_lie_spanning_output_bytes(argv, expected, capsys):
+    assert main(["lie", "spanning"] + argv) == 0
+    assert capsys.readouterr().out == expected + "\n"
+
+
 def test_lie_spanning_grassmann(capsys):
     assert main(["lie", "spanning", "--grassmann", "2", "1"]) == 0
     payload = json.loads(capsys.readouterr().out)

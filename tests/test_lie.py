@@ -17,7 +17,8 @@ from robinlab.lie import (Composition, MatrixSubspace, SquareMatrix,
                           flag_point_of_group_element, flag_tangent,
                           grassmann_spanning_rank, hopf_base,
                           hopf_closure_report, minimal_parabolic_oracle,
-                          parabolic_closure)
+                          parabolic_closure, random_lower_block,
+                          random_upper_triangular)
 
 E = SquareMatrix.elementary
 
@@ -298,12 +299,7 @@ def test_grassmann_rank_pivot_needed():
 def test_grassmann_rank_full_cases():
     rng = random.Random(5)
     for (p, q) in ((2, 2), (3, 2)):
-        rows = [[0] * (p + q) for _ in range(p + q)]
-        for r in range(q):
-            for c in range(p):
-                rows[p + r][c] = rng.randint(-3, 3)
-        rows[p][0] = 2
-        X = SquareMatrix(rows)
+        X = random_lower_block(p, q, rng, 3, lead=2)
         assert grassmann_spanning_rank(p, q, X) == p * q
         assert grassmann_spanning_rank(p, q, X, K=1000) == p * q
 
@@ -320,10 +316,7 @@ def test_flag_spanning_failure_rank():
         X = E(n, 2, 1)
         vecs = []
         for _ in range(60):
-            A = SquareMatrix([[rng.randint(-3, 3) if c > r else
-                               (rng.randint(1, 3) if c == r else 0)
-                               for c in range(n)] for r in range(n)])
-            tang = conjugated_tangent(A, X)
+            tang = conjugated_tangent(random_upper_triangular(n, rng, 3), X)
             assert all(not t for t in tang[n - 1:])
             vecs.append(list(tang))
         assert exact_rank(vecs) <= n - 1

@@ -5,8 +5,16 @@ the unit ball (second t-derivative -2|a|^2 at 0) and lambda = -(1 + Re t)^{-2}
 on the radial family (d lambda/dt = 1 at 0).
 """
 
+import json
+import math
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robinlab.errors import GridMismatch, ValidationError
 from robinlab.geometry import DimensionalConstants
@@ -38,6 +46,141 @@ def test_hyperplane_area_diagonals():
 def test_hyperplane_area_outside_is_zero():
     assert hyperplane_cell_area(np.array([1.0, 1.0]), -0.2, np.ones(2)) == 0.0
     assert hyperplane_cell_area(np.array([1.0, 1.0]), 2.5, np.ones(2)) == 0.0
+
+
+def lasserre_cell_area_oracle(normal, offset, h):
+    """One cell at a time: the scalar Lasserre vertex sum that the batched
+    `hyperplane_cell_area` replaced, kept as its reference."""
+    nvec = np.asarray(normal, dtype=float).copy()
+    h = np.asarray(h, dtype=float)
+    norm = float(np.linalg.norm(nvec))
+    if norm == 0.0:
+        return 0.0
+    active = np.abs(nvec) > 1e-12 * norm
+    scale = float(np.prod(h[~active]))
+    n = nvec[active]
+    hh = h[active]
+    c = offset
+    for k in range(len(n)):
+        if n[k] < 0:
+            c -= n[k] * hh[k]
+            n[k] = -n[k]
+    d = len(n)
+    if d == 0:
+        return 0.0
+    if d == 1:
+        return (scale * norm / n[0]) if 0.0 < c < n[0] * hh[0] else 0.0
+    total = 0.0
+    for mask in range(1 << d):
+        s = c
+        bits = 0
+        for k in range(d):
+            if mask >> k & 1:
+                s -= n[k] * hh[k]
+                bits += 1
+        if s > 0.0:
+            total += (-1) ** bits * s ** (d - 1)
+    total /= math.factorial(d - 1) * float(np.prod(n))
+    return float(scale * norm * total)
+
+
+def area_tolerance(normal, offset, h, reference):
+    """1e-12 relative or 1e-15 prod(h) absolute, widened by the rounding
+    bound of the alternating vertex sum.
+
+    Each of the 2^d terms (c - n.v)_+^{d-1} is at most M^{d-1} with
+    M = |c| + sum |n_k| h_k and is formed with about d + 2 roundings; the
+    sum is then divided by (d-1)! prod n_k.  Where the terms cancel to a
+    small area (the plane near or beyond the box's far corner) both routes
+    return their own rounding noise, and this bound is what they share.
+    """
+    nvec = np.asarray(normal, dtype=float)
+    norm = float(np.linalg.norm(nvec))
+    active = np.abs(nvec) > 1e-12 * norm
+    d = int(np.count_nonzero(active))
+    tol = max(1e-12 * abs(reference), 1e-15 * float(np.prod(h)))
+    if d < 2:
+        return tol
+    M = abs(offset) + float(np.sum(np.abs(nvec) * h))
+    noise = (2 ** d * (d + 2) * np.finfo(float).eps * M ** (d - 1)
+             / (math.factorial(d - 1) * float(np.prod(np.abs(nvec[active])))))
+    return tol + noise * norm * float(np.prod(h[~active]))
+
+
+@st.composite
+def cell_batches(draw, smallest_active=(-5.5, 0.0)):
+    """Cells of one box: each normal mixes active components (the largest
+    L in [0.5, 5], the others L * 10^u with u drawn from smallest_active),
+    exact zeros and inactive components of +-1e-13 |n|; offsets below, inside,
+    through a vertex of, and beyond the box."""
+    d = draw(st.integers(1, 4))
+    h = np.array(draw(st.lists(st.floats(0.05, 2.0), min_size=d, max_size=d)))
+    normals, offsets = [], []
+    for _ in range(draw(st.integers(1, 12))):
+        kinds = draw(st.lists(st.sampled_from(["active", "zero", "inactive"]),
+                              min_size=d, max_size=d))
+        sign = st.sampled_from([-1.0, 1.0])
+        L = draw(st.floats(0.5, 5.0))
+        n = np.zeros(d)
+        for k, kind in enumerate(kinds):
+            if kind == "active":
+                first = not np.any(n)
+                u = 0.0 if first else draw(st.floats(*smallest_active))
+                n[k] = draw(sign) * L * 10.0 ** u
+        big = float(np.linalg.norm(n))
+        for k, kind in enumerate(kinds):
+            if kind == "inactive":
+                n[k] = draw(sign) * 1e-13 * big
+        lo = float(np.sum(np.minimum(n * h, 0.0)))
+        hi = float(np.sum(np.maximum(n * h, 0.0)))
+        width = hi - lo if hi > lo else 1.0
+        where = draw(st.sampled_from(["below", "inside", "vertex", "beyond"]))
+        if where == "below":
+            c = lo - draw(st.floats(0.0, 1.0)) * width
+        elif where == "inside":
+            c = lo + draw(st.floats(0.0, 1.0)) * (hi - lo)
+        elif where == "vertex":
+            v = np.array(draw(st.lists(st.booleans(), min_size=d, max_size=d)))
+            c = float(np.dot(n, np.where(v, h, 0.0)))
+        else:
+            c = hi + draw(st.floats(0.0, 1.0)) * width
+        normals.append(n)
+        offsets.append(c)
+    return np.array(normals), np.array(offsets), h
+
+
+def _check_against_oracle(normals, offsets, h):
+    got = hyperplane_cell_area(normals, offsets, h)
+    assert got.shape == offsets.shape
+    for n, c, a in zip(normals, offsets, got):
+        want = lasserre_cell_area_oracle(n, c, h)
+        assert abs(a - want) <= area_tolerance(n, c, h, want), (n, c, a, want)
+    # any leading batch shape, and a single cell gives a float
+    np.testing.assert_array_equal(
+        hyperplane_cell_area(normals[:, None, :], offsets[:, None], h),
+        got[:, None])
+    one = hyperplane_cell_area(normals[0], offsets[0], h)
+    assert type(one) is float
+    assert abs(one - got[0]) <= area_tolerance(normals[0], offsets[0], h, got[0])
+
+
+@given(cell_batches())
+@settings(max_examples=300, deadline=None)
+def test_batched_area_matches_oracle(batch):
+    """Every active component at least 1e-6 |n|."""
+    _check_against_oracle(*batch)
+
+
+@given(cell_batches(smallest_active=(-11.5, -6.0)))
+@settings(max_examples=150, deadline=None)
+def test_batched_area_ill_conditioned(batch):
+    """Active components between 1e-12 |n| and 1e-6 |n|.
+
+    The vertex sum is divided by prod n_k, so its rounding noise grows like
+    eps |n| / |n_k|; the tolerance's rounding bound carries that factor,
+    and is far looser here than for well-conditioned normals.
+    """
+    _check_against_oracle(*batch)
 
 
 def test_sphere_area_quadrature():
@@ -81,6 +224,83 @@ def test_second_variation_translation_small_grid():
     assert abs(rep.first_var_rhs) < 5e-3
     # both sides vanish, so the mismatch is scaled by lambda(t0), not by them
     assert rep.first_var_mismatch < 1e-3
+
+
+# Reports of the three benchmark families at 24 nodes and t0 = 0, computed
+# with the per-cell area loop that the batched Lasserre routine replaced.
+# The solves' BLAS reductions depend on the thread count, so the report runs
+# in a subprocess with one BLAS thread, as these values were taken.
+PINNED_REPORTS = {
+    "ball": dict(
+        lhs=-2.001888904550952, rhs_volume_dbar=-0.9196476821904682,
+        dbar_norm_sq=18.153117623197346, gt_volume_sq=1.443588368743089,
+        lambda_samples=dict(c=-0.9999999973914389, p1=-1.0012511347563857,
+                            m1=-1.0012512211571805, p2=-1.001251134756386,
+                            m2=-1.0012512211571807),
+        rhs_boundary=-1.0546817951439502, rhs=-1.9743294773344184,
+        mismatch=0.013766711606164533,
+        first_var_rhs=(-7.784246478570205e-15, 8.031722522686599e-15)),
+    "radial": dict(
+        lhs=-1.501266611419218, rhs_volume_dbar=-4.2810042374059894e-15,
+        dbar_norm_sq=8.450363652516869e-14, gt_volume_sq=4.5540694370552535,
+        lambda_samples=dict(c=-0.9999999970544725, p1=-0.9564744331077375,
+                            m1=-1.0465656258893314, p2=-0.9999999970544725,
+                            m2=-0.9999999970544725),
+        rhs_boundary=-1.5636373475497882, rhs=-1.5636373475497924,
+        mismatch=0.03988823637930431,
+        first_var_rhs=(1.0424270068298884, -0.0)),
+    "quartic": dict(
+        lhs=-0.4152002470939052, rhs_volume_dbar=-0.22366370771844996,
+        dbar_norm_sq=4.414944628123955, gt_volume_sq=0.3034848788040577,
+        lambda_samples=dict(c=-1.0653195400975866, p1=-1.0655212570316737,
+                            m1=-1.0655339700622322, p2=-1.065443692468635,
+                            m2=-1.0654435612231554),
+        rhs_boundary=-0.1789944341282733, rhs=-0.4026581418467232,
+        mismatch=0.030207364602905303,
+        first_var_rhs=(-2.1372931082779465e-15, 9.477207598548263e-16)),
+}
+
+_REPORTS_SCRIPT = """
+import json
+from robinlab.variation import (quartic_translation_family, radial_family,
+                                second_variation_check, translation_family)
+families = {"ball": translation_family(2, (1.0, 0.0), rho=0.5),
+            "radial": radial_family(2, 1.0, rho=0.45),
+            "quartic": quartic_translation_family((0.4, 0.0), rho=0.4)}
+out = {}
+for name, fam in families.items():
+    rep = second_variation_check(fam, 0.0, nodes_per_axis=24)
+    out[name] = dict(
+        lhs=rep.lhs, rhs_volume_dbar=rep.rhs_volume_dbar,
+        dbar_norm_sq=rep.dbar_norm_sq, gt_volume_sq=rep.gt_volume_sq,
+        lambda_samples=rep.lambda_samples, rhs_boundary=rep.rhs_boundary,
+        rhs=rep.rhs, mismatch=rep.mismatch,
+        first_var_rhs=(rep.first_var_rhs.real, rep.first_var_rhs.imag))
+print(json.dumps(out))
+"""
+
+
+def test_reports_pinned():
+    """Nothing upstream of the boundary quadrature changed, so the solves and
+    the volume terms are bit-identical; the quadrature's sums move only by
+    rounding."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", _REPORTS_SCRIPT], env=env,
+                          capture_output=True, text=True, check=True)
+    got = json.loads(proc.stdout)
+    for name, want in PINNED_REPORTS.items():
+        rep = got[name]
+        for key in ("lhs", "rhs_volume_dbar", "dbar_norm_sq", "gt_volume_sq",
+                    "lambda_samples"):
+            assert rep[key] == want[key], (name, key)
+        for key in ("rhs_boundary", "rhs", "mismatch"):
+            assert rep[key] == pytest.approx(want[key], rel=1e-12, abs=0), \
+                (name, key)
+        # rounding noise of about 1e-17 on the even families
+        lam = abs(want["lambda_samples"]["c"])
+        assert abs(complex(*rep["first_var_rhs"])
+                   - complex(*want["first_var_rhs"])) <= 1e-12 * lam, name
 
 
 def test_second_variation_scaled_direction():
