@@ -8,12 +8,14 @@ metric convention used throughout (Delta = -1/2 Delta_R), the discrete system
 is  -Delta_R u + 2 c u = -2 c Q0.
 
 Discretization: cut-cell stencil on a uniform grid.  Boundary crossings are
-located by bisection along grid edges (cut fraction theta); the exterior
+located along grid edges on the dyadic grid of 2^-40 (cut fraction theta, the
+midpoint of the grid cell where psi turns nonnegative; wherever psi changes
+sign once along the edge this is the theta of 40 bisection steps); the exterior
 neighbor value is eliminated by linear extrapolation through the cut point,
 u_ghost = u_b/theta - (1-theta)/theta u_i, which keeps every interior-interior
 coupling at the standard -1/h^2 value.  The matrix is therefore symmetric
 positive definite (conjugate gradients apply directly) while the Dirichlet
-data still enters at the bisected boundary points, and lambda = u(pole), an
+data still enters at the located boundary points, and lambda = u(pole), an
 interior functional, converges at second order on smooth domains.  (The
 classical one-sided-arm variant of the stencil is not symmetric; averaging it
 with its transpose was measured to destroy consistency, which is why the
@@ -35,7 +37,9 @@ import scipy.sparse.linalg
 from .errors import (NegativeC, NonconvergentSolver, PoleTooCloseToBoundary,
                      StencilOutOfRange, ValidationError)
 
-BISECT_ITERS = 40          # 2^-40 ~ 1e-12 relative: below the 1e-10*h target
+BISECT_ITERS = 40          # cut fractions on the grid of 2^-40 ~ 1e-12 relative:
+                          # below the 1e-10*h target
+CUT_SLACK = 6             # rounds the cut search may take beyond bisection's
 THETA_MIN = 1e-8
 POLE_MARGIN_CELLS = 3
 
@@ -153,39 +157,51 @@ class GridDomain:
         self.idx = -np.ones((self.m,) * self.dim, dtype=np.int64)
         self.idx[self.interior] = np.arange(int(self.interior.sum()))
         self.n_interior = int(self.interior.sum())
-        self.interior_points = self.grid_points()[self.interior]
+        self.interior_points = self.points_at(np.flatnonzero(self.interior))
+
+    def points_at(self, flat) -> np.ndarray:
+        """Grid points at flat (C-order) node indices: the values of
+        grid_points() without building the full array."""
+        ijk = np.unravel_index(flat, (self.m,) * self.dim)
+        return np.stack([ax[i] for ax, i in zip(self.axes, ijk)], axis=-1)
 
     def _build_arms(self):
-        """Bisect psi along every interior->exterior grid edge.
+        """Locate psi = 0 along every interior->exterior grid edge, all
+        (axis, side) pairs in one search.
 
-        armlen[(d, side)] = (interior flat indices, theta in (0,1], cut points)
+        arms[(d, side)] = (interior flat indices, theta in (0,1], cut points)
         """
-        self.arms = {}
         flat_interior = self.interior.reshape(-1)
-        pts = self.grid_points().reshape(-1, self.dim)
         strides = []
         s = 1
-        shape = (self.m,) * self.dim
         for d in range(self.dim - 1, -1, -1):
             strides.insert(0, s)
-            s *= shape[d]
+            s *= self.m
         self._strides = strides
+        keys, srcs, dsts = [], [], []
         for d in range(self.dim):
             for side in (+1, -1):
                 shifted = np.roll(flat_interior, -side * strides[d])
                 # nodes on the box face were excluded already, so roll is safe
-                cut = flat_interior & ~shifted
-                src = np.flatnonzero(cut)
-                if len(src) == 0:
-                    self.arms[(d, side)] = (np.empty(0, dtype=np.int64),
-                                            np.empty(0), np.empty((0, self.dim)))
-                    continue
-                dst = src + side * strides[d]
-                a = pts[src]
-                b = pts[dst]
-                theta = _bisect_theta(self.psi, a, b)
-                cutpts = a + theta[:, None] * (b - a)
-                self.arms[(d, side)] = (src, np.maximum(theta, THETA_MIN), cutpts)
+                src = np.flatnonzero(flat_interior & ~shifted)
+                keys.append((d, side))
+                srcs.append(src)
+                dsts.append(src + side * strides[d])
+        src_all = np.concatenate(srcs)
+        dst_all = np.concatenate(dsts)
+        a = self.points_at(src_all)
+        b = self.points_at(dst_all)
+        psi_flat = self.psi_grid.reshape(-1)
+        theta, self.cut_psi_points, self.cut_bisection_steps = _cut_theta(
+            self.psi, a, b, psi_flat[src_all], psi_flat[dst_all])
+        cutpts = a + theta[:, None] * (b - a)
+        theta = np.maximum(theta, THETA_MIN)
+        self.arms = {}
+        start = 0
+        for key, src in zip(keys, srcs):
+            part = slice(start, start + len(src))
+            self.arms[key] = (src, theta[part], cutpts[part])
+            start += len(src)
 
     def _check_pole_margin(self):
         self.require_pole_ok(self.pole)
@@ -295,6 +311,81 @@ def _bisect_theta(psi, a, b, iters=BISECT_ITERS):
         lo = np.where(neg, mid, lo)
         hi = np.where(neg, hi, mid)
     return 0.5 * (lo + hi)
+
+
+def _cut_theta(psi, a, b, fa, fb):
+    """Cut fractions on segments a -> b, given fa = psi(a) and fb = psi(b).
+
+    The search runs on the points x = k 2^-BISECT_ITERS, where psi is
+    evaluated as psi(a + x (b - a)), exactly as `_bisect_theta` evaluates
+    it, and x = 0 counts as negative and x = 1 as nonnegative whatever
+    psi(a), psi(b) are.  It keeps a bracket [lo, hi] of such points, lo
+    negative and hi nonnegative, and stops when hi = lo + 1; theta is the
+    midpoint of that cell.  Where psi changes sign once along the segment
+    that cell is the one bisection ends in, so theta equals
+    `_bisect_theta(psi, a, b)` bit for bit.
+
+    Each step evaluates the grid point nearest the root of the quadratic
+    through the bracket ends and the end it last replaced (the secant when
+    that quadratic is unusable), clamped inside the bracket.  The step is
+    projected towards the bracket midpoint as in ITP (Oliveira & Takahashi,
+    ACM TOMS 47, 2021), so no segment takes more than BISECT_ITERS +
+    CUT_SLACK evaluations.  An end whose sign contradicts its role keeps the
+    role but not its value, so an edge whose far end is negative (its
+    neighbour lies in another component of {psi < 0}) starts with bisection
+    steps.
+
+    Returns (theta, psi points evaluated, bisection steps: steps that took
+    the midpoint, or were pulled towards it, because the interpolation was
+    unusable or converging too slowly).
+    """
+    n = len(a)
+    n_max = BISECT_ITERS + CUT_SLACK
+    lo = np.zeros(n, dtype=np.int64)
+    hi = np.full(n, 1 << BISECT_ITERS, dtype=np.int64)
+    flo = np.where(fa < 0.0, fa, np.nan)
+    fhi = np.where(fb >= 0.0, fb, np.nan)
+    # third point of the quadratic: the bracket end replaced last
+    kc = np.zeros(n, dtype=np.int64)
+    fc = np.full(n, np.nan)
+    d = b - a
+    act = np.arange(n)
+    points = guarded = 0
+    # every bracket is at most 2^(n_max - j) cells wide before step j, so
+    # all of them are closed after n_max steps
+    for j in range(n_max):
+        if len(act) == 0:
+            break
+        base, top = lo[act], hi[act]
+        fl, fh = flo[act], fhi[act]
+        w = (top - base).astype(float)
+        c = (kc[act] - base).astype(float)
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            # p(u) = fl + s u + B u (u - w) through (0, fl), (w, fh), (c, fc)
+            s = (fh - fl) / w
+            B = ((fc[act] - fl) / c - s) / (c - w)
+            q = s - B * w
+            u = -2.0 * fl / (q + np.sqrt(q * q - 4.0 * B * fl))
+            u = np.where((u > 0.0) & (u < w), u, fl / (fl - fh) * w)
+        usable = np.isfinite(u)
+        u = np.where(usable, u, 0.5 * w)
+        r = 2.0 ** (n_max - j - 1) - 0.5 * w
+        step = np.clip(u, 0.5 * w - r, 0.5 * w + r)
+        guarded += int(np.count_nonzero(~usable | (step != u)))
+        k = base + np.clip(np.rint(step).astype(np.int64), 1, top - base - 1)
+        x = k * 2.0 ** -BISECT_ITERS
+        val = np.asarray(psi(a[act] + x[:, None] * d[act]), dtype=float)
+        points += len(act)
+        neg = val < 0.0
+        kc[act] = np.where(neg, base, top)
+        fc[act] = np.where(neg, fl, fh)
+        lo[act] = np.where(neg, k, base)
+        hi[act] = np.where(neg, top, k)
+        flo[act] = np.where(neg, val, fl)
+        fhi[act] = np.where(neg, fh, val)
+        act = act[hi[act] - lo[act] > 1]
+    theta = (lo + 0.5) * 2.0 ** -BISECT_ITERS
+    return theta, points, guarded
 
 
 # ---------------------------------------------------------------------------

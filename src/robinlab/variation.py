@@ -387,8 +387,12 @@ def hyperplane_cell_area(normal: np.ndarray, offset, h: np.ndarray):
             area[rows] = np.where(inside, scale * norm[rows] / n[:, 0], 0.0)
             continue
         # Lasserre: V'(c) = sum_v (-1)^{|v|} (c - n.v)_+^{d-1} / ((d-1)! prod n_k)
-        # over box vertices v; Area = |normal| V'(c)
+        # over box vertices v; Area = |normal| V'(c).  The box is centrally
+        # symmetric, so the section at c equals the one at n.h - c; taking
+        # the smaller offset leaves fewer terms to cancel, and a plane beyond
+        # the far corner gets exactly no area.
         nh = n * hh
+        c = np.minimum(c, nh.sum(axis=-1) - c)
         total = np.zeros(len(rows))
         for mask in range(1 << d):
             s = c

@@ -10,12 +10,17 @@ path against a one-dimensional boundary-value solve.
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robinlab.errors import (NegativeC, PoleTooCloseToBoundary,
                              StencilOutOfRange, ValidationError)
-from robinlab.green import (GridDomain, RobinFunctionField, fundamental_solution,
-                            hessian_flat_directions, robin_function,
-                            solve_green)
+from robinlab.green import (BISECT_ITERS, CUT_SLACK, THETA_MIN, GridDomain,
+                            RobinFunctionField, _bisect_theta, _cut_theta,
+                            fundamental_solution, hessian_flat_directions,
+                            robin_function, solve_green)
+from robinlab.variation import (quartic_translation_family, radial_family,
+                                translation_family)
 
 
 def image_charge_lambda(y, R=1.0):
@@ -245,3 +250,141 @@ def test_fundamental_solution_forms():
 def test_solver_supports_only_low_dims():
     with pytest.raises(ValidationError):
         GridDomain.ball(3, radius=1.0, nodes_per_axis=8)
+
+
+# -- cut points -------------------------------------------------------------------
+
+# psi(X) = G(X_j - r) with sign(G(y)) = sign(y): psi changes sign once along
+# any segment on which X_j increases, also in floating point
+SIGN_MONOTONE = {
+    "linear": lambda y: y,
+    "cubic": lambda y: y ** 3,
+    "exponential": lambda y: y * np.exp(3.0 * y),
+    "step": lambda y: np.where(y < 0.0, -1.0, 1e6),
+}
+
+
+@st.composite
+def crossing_segments(draw):
+    """Segments a -> b in R^dim (plus a last coordinate that carries the row
+    index, equal at both ends) and per-row roots r of psi = G(X_j - r).
+
+    The roots sit on a grid point of the search, x = k 2^-40 computed as
+    a_j + x (b_j - a_j), one ulp to either side of one, with k near 0, near
+    2^40 or anywhere; uniformly inside; exactly at b_j (psi(b) == 0); or
+    beyond b_j (psi(b) < 0, psi negative along the whole segment)."""
+    dim = draw(st.sampled_from([1, 2, 4]))
+    j = draw(st.integers(0, dim - 1))
+    coord = st.floats(-2.0, 2.0)
+    rows = draw(st.integers(1, 8))
+    a = np.zeros((rows, dim + 1))
+    b = np.zeros((rows, dim + 1))
+    r = np.zeros(rows)
+    for i in range(rows):
+        a[i, :dim] = draw(st.lists(coord, min_size=dim, max_size=dim))
+        b[i, :dim] = a[i, :dim] + draw(st.lists(st.floats(-0.2, 0.2),
+                                                min_size=dim, max_size=dim))
+        b[i, j] = a[i, j] + draw(st.floats(1e-3, 1.0))
+        a[i, dim] = b[i, dim] = i
+        place = draw(st.sampled_from(["grid", "above", "below", "uniform",
+                                      "at_b", "beyond"]))
+        top = 1 << BISECT_ITERS
+        k = draw(st.one_of(st.integers(1, 16), st.integers(top - 16, top - 1),
+                           st.integers(1, top - 1)))
+        on_grid = a[i, j] + (k * 2.0 ** -BISECT_ITERS) * (b[i, j] - a[i, j])
+        if place == "grid":
+            r[i] = on_grid
+        elif place == "above":
+            r[i] = np.nextafter(on_grid, np.inf)
+        elif place == "below":
+            r[i] = np.nextafter(on_grid, -np.inf)
+        elif place == "uniform":
+            r[i] = a[i, j] + draw(st.floats(0.0, 1.0)) * (b[i, j] - a[i, j])
+        elif place == "at_b":
+            r[i] = b[i, j]
+        else:
+            r[i] = b[i, j] + draw(st.floats(1e-9, 1.0))
+    G = SIGN_MONOTONE[draw(st.sampled_from(sorted(SIGN_MONOTONE)))]
+
+    def psi(X):
+        return G(X[..., j] - r[X[..., -1].astype(int)])
+    return psi, a, b
+
+
+@given(crossing_segments())
+@settings(max_examples=300, deadline=None)
+def test_cut_search_matches_bisection(case):
+    psi, a, b = case
+    theta, points, _ = _cut_theta(psi, a, b, psi(a), psi(b))
+    np.testing.assert_array_equal(theta, _bisect_theta(psi, a, b))
+    assert points <= len(a) * (BISECT_ITERS + CUT_SLACK)
+
+
+def test_cut_search_negative_far_end():
+    """psi < 0 along the whole edge (the neighbour lies in another component
+    of {psi < 0}): x = 1 counts as nonnegative, as in bisection, and the far
+    end's value is not interpolated, so the search bisects all the way."""
+    a = np.array([[0.0], [0.0]])
+    b = np.array([[1.0], [1.0]])
+    for psi in (lambda X: X[..., 0] - 2.0, lambda X: -1.0 - X[..., 0]):
+        theta, points, guarded = _cut_theta(psi, a, b, psi(a), psi(b))
+        assert np.all(theta == 1.0 - 2.0 ** -(BISECT_ITERS + 1))
+        np.testing.assert_array_equal(theta, _bisect_theta(psi, a, b))
+        assert points == guarded == 2 * BISECT_ITERS
+
+
+def bisected_arms(dom):
+    """The arms as built before the joint search: every (axis, side) pair on
+    its own, endpoints taken from the full coordinate array, 40 bisection
+    steps."""
+    pts = dom.grid_points().reshape(-1, dom.dim)
+    flat = dom.interior.reshape(-1)
+    arms = {}
+    for d in range(dom.dim):
+        for side in (+1, -1):
+            stride = dom._strides[d]
+            src = np.flatnonzero(flat & ~np.roll(flat, -side * stride))
+            a = pts[src]
+            b = pts[src + side * stride]
+            theta = _bisect_theta(dom.psi, a, b)
+            arms[(d, side)] = (src, np.maximum(theta, THETA_MIN),
+                               a + theta[:, None] * (b - a))
+    return arms
+
+
+def _stencil_domains():
+    """The benchmark families at the five stencil values of t, and the unit
+    ball at 16 and 24 nodes, as name -> builder."""
+    families = {"ball": translation_family(2, (1.0, 0.0), rho=0.5),
+                "radial": radial_family(2, 1.0, rho=0.45),
+                "quartic": quartic_translation_family((0.4, 0.0), rho=0.4)}
+    builders = {}
+    for name, fam in families.items():
+        h_t = 0.05 * fam.rho
+        for t in (0.0, h_t, -h_t, 1j * h_t, -1j * h_t):
+            builders[f"{name}-t{t:g}"] = (
+                lambda fam=fam, t=t: fam.domain_at(t, 24))
+    for m in (16, 24):
+        builders[f"unit-ball-{m}"] = (
+            lambda m=m: GridDomain.ball(2, nodes_per_axis=m))
+    return builders
+
+
+STENCIL_DOMAINS = _stencil_domains()
+
+
+@pytest.mark.parametrize("name", sorted(STENCIL_DOMAINS))
+def test_arms_equal_bisection(name):
+    dom = STENCIL_DOMAINS[name]()
+    want = bisected_arms(dom)
+    assert list(dom.arms) == list(want)
+    for key, arrays in want.items():
+        for got, ref in zip(dom.arms[key], arrays):
+            assert got.dtype == ref.dtype
+            np.testing.assert_array_equal(got, ref)
+    np.testing.assert_array_equal(dom.interior_points,
+                                  dom.grid_points()[dom.interior])
+    # a handful of psi points per arm: 3 on quadrics, 5 on the quartic
+    n_arms = sum(len(src) for src, _, _ in dom.arms.values())
+    assert 2 * n_arms <= dom.cut_psi_points <= 6 * n_arms
+    assert dom.cut_bisection_steps == 0

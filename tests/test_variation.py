@@ -48,6 +48,15 @@ def test_hyperplane_area_outside_is_zero():
     assert hyperplane_cell_area(np.array([1.0, 1.0]), 2.5, np.ones(2)) == 0.0
 
 
+def test_hyperplane_area_beyond_far_corner_is_exact_zero():
+    """The plane misses this cell beyond its far corner; the alternating
+    vertex sum at the raw offset cancels to about 1e-14 instead of 0."""
+    normal = np.array([-0.711, 0.514, -0.0617])
+    h = np.array([1.219, 1.398, 1.622])
+    assert hyperplane_cell_area(normal, 1.7288, h) == 0.0
+    assert hyperplane_cell_area(normal[None, :], np.array([1.7288]), h)[0] == 0.0
+
+
 def lasserre_cell_area_oracle(normal, offset, h):
     """One cell at a time: the scalar Lasserre vertex sum that the batched
     `hyperplane_cell_area` replaced, kept as its reference."""
