@@ -171,22 +171,15 @@ class GridDomain:
 
         arms[(d, side)] = (interior flat indices, theta in (0,1], cut points)
         """
-        flat_interior = self.interior.reshape(-1)
-        strides = []
-        s = 1
-        for d in range(self.dim - 1, -1, -1):
-            strides.insert(0, s)
-            s *= self.m
-        self._strides = strides
+        self._strides = [self.m ** (self.dim - 1 - d) for d in range(self.dim)]
         keys, srcs, dsts = [], [], []
         for d in range(self.dim):
             for side in (+1, -1):
-                shifted = np.roll(flat_interior, -side * strides[d])
-                # nodes on the box face were excluded already, so roll is safe
-                src = np.flatnonzero(flat_interior & ~shifted)
+                src = np.flatnonzero(self.interior
+                                     & ~_shift(self.interior, -side, d))
                 keys.append((d, side))
                 srcs.append(src)
-                dsts.append(src + side * strides[d])
+                dsts.append(src + side * self._strides[d])
         src_all = np.concatenate(srcs)
         dst_all = np.concatenate(dsts)
         a = self.points_at(src_all)
@@ -238,8 +231,6 @@ class GridDomain:
         with theta > 1/2, so the volumes sum to |D| (1 - O(h)), first order:
         on the translated unit ball's grid, sum / |B^4| = 0.916, 0.937, 0.949,
         0.958 at 24, 32, 40, 48 nodes per axis (ROADMAP item 1)."""
-        if hasattr(self, "_cv"):
-            return self._cv
         idx_flat = self.idx.reshape(-1)
         vol = np.ones(self.n_interior)
         for d in range(self.dim):
@@ -252,7 +243,6 @@ class GridDomain:
                     arr[idx_flat[src]] = np.minimum(half, theta * self.h[d])
                 e[side] = arr
             vol *= e[+1] + e[-1]
-        self._cv = vol
         return vol
 
     # -- operator assembly ------------------------------------------------------
@@ -266,16 +256,14 @@ class GridDomain:
         """
         N = self.n_interior
         idx_flat = self.idx.reshape(-1)
-        flat_interior = self.interior.reshape(-1)
         rows, cols, vals = [], [], []
         diag = np.zeros(N)
         bfaces = []
         for d in range(self.dim):
             ih2 = 1.0 / self.h[d] ** 2
             for side in (+1, -1):
-                shifted = np.roll(flat_interior, -side * self._strides[d])
-                both = flat_interior & shifted
-                src = np.flatnonzero(both)
+                src = np.flatnonzero(self.interior
+                                     & _shift(self.interior, -side, d))
                 if len(src):
                     i = idx_flat[src]
                     j = idx_flat[src + side * self._strides[d]]
@@ -298,6 +286,16 @@ class GridDomain:
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
             shape=(N, N))
         return A, bfaces
+
+
+def _shift(arr: np.ndarray, k: int, axis: int) -> np.ndarray:
+    """arr moved k places along axis, out[..., i, ...] = arr[..., i - k, ...];
+    entries moved in from beyond the face are False (bool) or NaN."""
+    out = np.roll(arr, k, axis=axis)
+    face = [slice(None)] * arr.ndim
+    face[axis] = slice(0, k) if k > 0 else slice(arr.shape[axis] + k, None)
+    out[tuple(face)] = False if arr.dtype == bool else np.nan
+    return out
 
 
 def _bisect_theta(psi, a, b, iters=BISECT_ITERS):
@@ -679,26 +677,19 @@ def _unit(n, a):
 
 
 def _distance_to_boundary(domain: GridDomain, x: np.ndarray) -> float:
-    """Bisection distance from x to {psi = 0} along the 4n axis rays."""
-    best = np.inf
+    """Distance from x to {psi = 0} along the 4n axis rays of length span
+    (the box's widest side), on the cut search's grid of span 2^-40; rays
+    whose far end lies in {psi < 0} are skipped."""
     span = float(np.max(domain.box_hi - domain.box_lo))
-    for d in range(domain.dim):
-        for side in (+1, -1):
-            e = np.zeros(domain.dim)
-            e[d] = side
-            lo, hi = 0.0, span
-            if domain.psi((x + hi * e)[None, :])[0] < 0:
-                continue
-            for _ in range(BISECT_ITERS):
-                mid = 0.5 * (lo + hi)
-                if domain.psi((x + mid * e)[None, :])[0] < 0:
-                    lo = mid
-                else:
-                    hi = mid
-            best = min(best, 0.5 * (lo + hi))
-    if not np.isfinite(best):
+    a = np.tile(np.asarray(x, dtype=float), (2 * domain.dim, 1))
+    b = a + span * np.concatenate([np.eye(domain.dim), -np.eye(domain.dim)])
+    fb = np.asarray(domain.psi(b), dtype=float)
+    ray = fb >= 0.0
+    if not np.any(ray):
         raise ValidationError("no boundary found along the axis rays")
-    return best
+    fa = np.asarray(domain.psi(a[ray]), dtype=float)
+    theta, _, _ = _cut_theta(domain.psi, a[ray], b[ray], fa, fb[ray])
+    return span * float(np.min(theta))
 
 
 def robin_function(domain: GridDomain, poles, c_spec=None) -> RobinFunctionField:

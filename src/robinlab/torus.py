@@ -264,11 +264,14 @@ def _recover_tuple(a: AlgebraicScalar, b: AlgebraicScalar,
 
     For the true (m, n):  F(m, n) = (p/q)(M', n'), so  C*m - A*n  must be a
     positive rational and  A*m + B*n  must be linear in xi; those two exact
-    identities determine (m', n', p, q).
+    identities determine (m', n', p, q).  Returns None for slope data no
+    six-tuple can give; raises SearchExhausted when none up to `height` does.
     """
-    # structural sanity: reduced num/den degrees can never exceed 2
+    # direction_from_tuple reduces to numerators of degree 1 over the
+    # denominator p^2 (m' + n' xi)^2 + m^2 q^2 of degree 2, which is
+    # irreducible over R because m q != 0, so nothing cancels
     for x in (a, b):
-        if len(x.num) - 1 > 2 or len(x.den) - 1 > 2:
+        if len(x.num) != 2 or len(x.den) != 3:
             return None
     A = a / b
     B = scalar(-1) / b

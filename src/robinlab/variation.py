@@ -24,8 +24,9 @@ import numpy as np
 
 from .errors import GridMismatch, ValidationError
 from .geometry import DefiningFunctionSlice, DimensionalConstants
-from .green import (GridDomain, GreenField, complex_to_real, real_to_complex,
-                    fundamental_solution, solve_green, worker_count)
+from .green import (GridDomain, GreenField, _shift, complex_to_real,
+                    fundamental_solution, real_to_complex, solve_green,
+                    worker_count)
 
 
 # ---------------------------------------------------------------------------
@@ -503,24 +504,9 @@ def _ghost_extended_g(fld: GreenField) -> np.ndarray:
         np.add.at(cnt.reshape(-1), ghost_flat, 1.0)
     ghost = cnt > 0
     g[ghost] = acc[ghost] / cnt[ghost]
-    # second pass: fill staircase corners (exterior, only diagonally adjacent
-    # to the interior) with the average of their finite axis neighbors
-    have = np.isfinite(g)
-    acc2 = np.zeros_like(g)
-    cnt2 = np.zeros_like(g)
-    for d in range(dom.dim):
-        for k in (+1, -1):
-            shifted = np.roll(g, k, axis=d)
-            valid = np.roll(have, k, axis=d)
-            sl = [slice(None)] * dom.dim
-            sl[d] = slice(0, 1) if k > 0 else slice(-1, None)
-            valid[tuple(sl)] = False
-            take = valid & ~have
-            acc2[take] += np.nan_to_num(shifted[take])
-            cnt2[take] += 1.0
-    fill = (cnt2 > 0) & ~have
-    g[fill] = acc2[fill] / cnt2[fill]
-    return g
+    # staircase corners (exterior, only diagonally adjacent to the interior)
+    # take the average of their finite axis neighbors
+    return _fill_from_neighbors(g, ~dom.interior, passes=1)
 
 
 def _normal_derivative_sq(fld: GreenField, pts, normals):
@@ -653,27 +639,24 @@ def _volume_terms(dom: GridDomain, gt: np.ndarray, stable: np.ndarray):
             float(np.nansum(gt_sq[dom.interior] * cv)))
 
 
-def _fill_from_neighbors(f: np.ndarray, interior: np.ndarray,
+def _fill_from_neighbors(f: np.ndarray, where: np.ndarray,
                          passes: int = 3) -> np.ndarray:
-    """Fill NaN interior entries with the mean of finite axis neighbors."""
+    """Fill NaN entries of f at `where` with the mean of their finite axis
+    neighbors, one ring per pass."""
     f = f.copy()
     for _ in range(passes):
-        missing = interior & ~np.isfinite(f)
+        missing = where & ~np.isfinite(f)
         if not np.any(missing):
             break
         acc = np.zeros_like(f)
         cnt = np.zeros_like(f)
-        have = np.isfinite(f)
         for d in range(f.ndim):
             for k in (+1, -1):
-                shifted = np.roll(f, k, axis=d)
-                valid = np.roll(have, k, axis=d)
-                sl = [slice(None)] * f.ndim
-                sl[d] = slice(0, 1) if k > 0 else slice(-1, None)
-                valid[tuple(sl)] = False
-                acc[missing & valid] += np.nan_to_num(shifted)[missing & valid]
-                cnt[missing & valid] += 1.0
-        fill = missing & (cnt > 0)
+                nb = _shift(f, k, d)
+                take = missing & np.isfinite(nb)
+                acc[take] += nb[take]
+                cnt[take] += 1.0
+        fill = cnt > 0
         f[fill] = acc[fill] / cnt[fill]
     return f
 
@@ -695,20 +678,6 @@ def _grid_derivative(f: np.ndarray, valid: np.ndarray, h: float, axis: int):
     vmm = vm & _shift(valid, +2, axis)
     bwd = ~both & ~fwd & vmm & valid
     out[bwd] = (3 * f[bwd] - 4 * fm[bwd] + fmm[bwd]) / (2 * h)
-    return out
-
-
-def _shift(arr: np.ndarray, k: int, axis: int) -> np.ndarray:
-    out = np.roll(arr, k, axis=axis)
-    sl = [slice(None)] * arr.ndim
-    if k > 0:
-        sl[axis] = slice(0, k)
-    else:
-        sl[axis] = slice(arr.shape[axis] + k, None)
-    if arr.dtype == bool:
-        out[tuple(sl)] = False
-    else:
-        out[tuple(sl)] = np.nan
     return out
 
 

@@ -10,6 +10,7 @@ path against a one-dimensional boundary-value solve.
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,9 +18,11 @@ from robinlab.errors import (NegativeC, PoleTooCloseToBoundary,
                              StencilOutOfRange, ValidationError)
 from robinlab.green import (BISECT_ITERS, CUT_SLACK, THETA_MIN, GridDomain,
                             RobinFunctionField, _bisect_theta, _cut_theta,
+                            _distance_to_boundary, _shift,
                             fundamental_solution, hessian_flat_directions,
                             robin_function, solve_green)
-from robinlab.variation import (quartic_translation_family, radial_family,
+from robinlab.variation import (_fill_from_neighbors,
+                                quartic_translation_family, radial_family,
                                 translation_family)
 
 
@@ -388,3 +391,180 @@ def test_arms_equal_bisection(name):
     n_arms = sum(len(src) for src, _, _ in dom.arms.values())
     assert 2 * n_arms <= dom.cut_psi_points <= 6 * n_arms
     assert dom.cut_bisection_steps == 0
+
+
+# -- neighbor passes, assembly and ray distances against per-cell loops ---------
+
+def shift_loop(arr, k, axis):
+    """out[i] = arr[i - k e_axis], False or NaN where that leaves the array."""
+    out = np.empty_like(arr)
+    for i in np.ndindex(arr.shape):
+        j = list(i)
+        j[axis] -= k
+        if 0 <= j[axis] < arr.shape[axis]:
+            out[i] = arr[tuple(j)]
+        else:
+            out[i] = False if arr.dtype == bool else np.nan
+    return out
+
+
+def fill_loop(f, where, passes):
+    """Each pass sets every NaN entry at `where` to the mean of the finite
+    axis neighbors it had when the pass began."""
+    f = f.copy()
+    for _ in range(passes):
+        before = f.copy()
+        for i in np.ndindex(f.shape):
+            if not where[i] or np.isfinite(before[i]):
+                continue
+            total, count = 0.0, 0
+            for d in range(f.ndim):
+                for k in (+1, -1):
+                    j = list(i)
+                    j[d] -= k
+                    if 0 <= j[d] < f.shape[d] and np.isfinite(before[tuple(j)]):
+                        total += before[tuple(j)]
+                        count += 1
+            if count:
+                f[i] = total / count
+    return f
+
+
+@st.composite
+def nan_grids(draw):
+    shape = tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=4)))
+    size = int(np.prod(shape))
+    values = draw(st.lists(st.floats(-10.0, 10.0), min_size=size,
+                           max_size=size))
+    holes = draw(st.lists(st.booleans(), min_size=size, max_size=size))
+    where = draw(st.lists(st.booleans(), min_size=size, max_size=size))
+    f = np.where(holes, np.nan, values).reshape(shape)
+    return f, np.asarray(where).reshape(shape)
+
+
+@given(nan_grids(), st.sampled_from([1, -1, 2, -2]), st.data())
+@settings(max_examples=150, deadline=None)
+def test_shift_matches_loop(grid, k, data):
+    f, mask = grid
+    axis = data.draw(st.integers(0, f.ndim - 1))
+    for arr in (f, mask):
+        got = _shift(arr, k, axis)
+        want = shift_loop(arr, k, axis)
+        assert got.dtype == arr.dtype
+        np.testing.assert_array_equal(got, want)
+
+
+@given(nan_grids(), st.integers(1, 3))
+@settings(max_examples=150, deadline=None)
+def test_fill_from_neighbors_matches_loop(grid, passes):
+    f, where = grid
+    np.testing.assert_array_equal(_fill_from_neighbors(f, where, passes),
+                                  fill_loop(f, where, passes))
+
+
+def stencil_reference(dom, c_values):
+    """(A, bfaces) built node by node: -1/h^2 to each interior axis
+    neighbor, 1/(h^2 theta) on the diagonal for each cut arm, and 2c."""
+    arm = {(key, s): (t, p) for key, (src, th, pts) in dom.arms.items()
+           for s, t, p in zip(src, th, pts)}
+    cut = {key: ([], [], []) for key in dom.arms}
+    rows, cols, vals = [], [], []
+    for node in zip(*np.nonzero(dom.interior)):
+        i = dom.idx[node]
+        diag = 0.0
+        for d in range(dom.dim):
+            ih2 = 1.0 / dom.h[d] ** 2
+            for side in (+1, -1):
+                nb = list(node)
+                nb[d] += side
+                j = dom.idx[tuple(nb)]
+                if j >= 0:
+                    rows.append(i)
+                    cols.append(j)
+                    vals.append(-ih2)
+                    diag += ih2
+                else:
+                    flat = np.ravel_multi_index(node, dom.interior.shape)
+                    t, p = arm[((d, side), flat)]
+                    diag += ih2 / t
+                    for part, v in zip(cut[(d, side)], (i, ih2 / t, p)):
+                        part.append(v)
+        if c_values is not None:
+            diag = diag + 2.0 * c_values[i]
+        rows.append(i)
+        cols.append(i)
+        vals.append(diag)
+    N = dom.n_interior
+    A = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(N, N))
+    bfaces = [(np.array(i), np.array(w), np.array(p))
+              for i, w, p in cut.values() if i]
+    return A, bfaces
+
+
+@pytest.mark.parametrize("build", [
+    lambda: GridDomain.ball(2, nodes_per_axis=10, pole=[0.1, 0.0, -0.05, 0.0]),
+    lambda: quartic_translation_family((0.4, 0.0), rho=0.4).domain_at(0.0, 12),
+], ids=["ball-10", "quartic-12"])
+def test_assemble_matches_stencil(build):
+    dom = build()
+    for c_values in (None, np.linspace(0.0, 3.0, dom.n_interior)):
+        A, bfaces = dom.assemble(c_values)
+        A_ref, bfaces_ref = stencil_reference(dom, c_values)
+        assert A.shape == A_ref.shape
+        assert (A - A_ref).nnz == 0
+        assert len(bfaces) == len(bfaces_ref)
+        for got, want in zip(bfaces, bfaces_ref):
+            for g, w in zip(got, want):
+                np.testing.assert_array_equal(g, w)
+
+
+def scalar_distance(domain, x):
+    """Ray distance as computed one ray at a time: 40 bisection steps on
+    [0, span] per axis ray, skipping rays whose far end has psi < 0."""
+    best = np.inf
+    span = float(np.max(domain.box_hi - domain.box_lo))
+    for d in range(domain.dim):
+        for side in (+1, -1):
+            e = np.zeros(domain.dim)
+            e[d] = side
+            lo, hi = 0.0, span
+            if domain.psi((x + hi * e)[None, :])[0] < 0:
+                continue
+            for _ in range(BISECT_ITERS):
+                mid = 0.5 * (lo + hi)
+                if domain.psi((x + mid * e)[None, :])[0] < 0:
+                    lo = mid
+                else:
+                    hi = mid
+            best = min(best, 0.5 * (lo + hi))
+    return best
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_distance_to_boundary_unit_ball(n):
+    dom = GridDomain.ball(n, nodes_per_axis=10)
+    span = float(np.max(dom.box_hi - dom.box_lo))
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        x = rng.uniform(-0.5, 0.5, size=2 * n)
+        root = np.sqrt(x ** 2 + 1.0 - np.sum(x ** 2))
+        exact = float(np.min(np.minimum(-x + root, x + root)))
+        got = _distance_to_boundary(dom, x)
+        assert abs(got - exact) <= span * 2.0 ** -BISECT_ITERS
+        assert abs(got - scalar_distance(dom, x)) <= span * 2.0 ** -BISECT_ITERS
+
+
+def test_distance_skips_rays_ending_inside():
+    """A ray whose far end lies in another component of {psi < 0} is
+    skipped: from (0.5, 0) the +x ray ends in the disk around (2.6, 0), so
+    the distance is sqrt(3)/2 along the y rays, not 0.5."""
+    def psi(X):
+        X = np.asarray(X, dtype=float)
+        far = np.sum((X - np.array([2.6, 0.0])) ** 2, axis=-1) - 0.25
+        return np.minimum(np.sum(X ** 2, axis=-1) - 1.0, far)
+
+    dom = GridDomain(1, psi, [-1.1, -1.1], [1.1, 1.1], 12, [0.0, 0.0])
+    x = np.array([0.5, 0.0])
+    got = _distance_to_boundary(dom, x)
+    assert abs(got - np.sqrt(0.75)) <= 2.2 * 2.0 ** -BISECT_ITERS
+    assert abs(got - scalar_distance(dom, x)) <= 2.2 * 2.0 ** -BISECT_ITERS

@@ -120,6 +120,8 @@ def test_classify_round_trip():
             continue
         t = SixTuple(m, n, mp, np_, p, q)
         a, b = direction_from_tuple(t)
+        # the degrees _recover_tuple requires before it searches
+        assert [(len(x.num), len(x.den)) for x in (a, b)] == [(2, 3), (2, 3)]
         d = classify_direction(a, b, height=8)
         assert d.case_tag is CaseTag.B_NONZERO
         assert d.recovered == t
@@ -150,6 +152,17 @@ def test_classify_search_exhausted():
     a, b = direction_from_tuple(SixTuple(5, 7, 3, 4, 2, 3))
     with pytest.raises(SearchExhausted):
         classify_direction(a, b, height=3)
+
+
+def test_classify_not_representable():
+    """Linear denominators come from no six-tuple, so the answer is
+    NOT_REPRESENTABLE at every height rather than an exhausted search."""
+    a = scalar(1) / (xi() + 3)
+    b = scalar(2) / (xi() + 3)
+    for height in (1, 3, 20):
+        d = classify_direction(a, b, height=height)
+        assert d.case_tag is CaseTag.NOT_REPRESENTABLE
+        assert d.recovered is None
 
 
 def test_sigma_leaves():
