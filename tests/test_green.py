@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.sparse
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,7 +24,7 @@ from robinlab.green import (BISECT_ITERS, CUT_SLACK, THETA_MIN, GridDomain,
                             robin_function, solve_green)
 from robinlab.variation import (_fill_from_neighbors,
                                 quartic_translation_family, radial_family,
-                                translation_family)
+                                second_variation_check, translation_family)
 
 
 def image_charge_lambda(y, R=1.0):
@@ -393,6 +394,22 @@ def test_arms_equal_bisection(name):
     assert dom.cut_bisection_steps == 0
 
 
+@pytest.mark.parametrize("name", sorted(STENCIL_DOMAINS))
+def test_mask_slabs_match_whole_grid(name):
+    """psi evaluated one slab at a time equals psi on the whole coordinate
+    array, bit for bit."""
+    dom = STENCIL_DOMAINS[name]()
+    want = np.asarray(dom.psi(dom.grid_points()), dtype=float)
+    assert dom.psi_grid.dtype == want.dtype
+    np.testing.assert_array_equal(dom.psi_grid, want)
+
+
+def test_mask_rejects_unvectorized_psi():
+    with pytest.raises(ValidationError):
+        GridDomain(1, lambda X: -1.0, [-1.0, -1.0], [1.0, 1.0], 10,
+                   [0.0, 0.0])
+
+
 # -- neighbor passes, assembly and ray distances against per-cell loops ---------
 
 def shift_loop(arr, k, axis):
@@ -501,6 +518,17 @@ def stencil_reference(dom, c_values):
     return A, bfaces
 
 
+def full_matrix(rb):
+    """The red/black blocks permuted back to node order: one CSR matrix."""
+    C = rb.C.tocoo()
+    i, j = rb.red[C.row], rb.black[C.col]
+    k = np.arange(len(rb.diag))
+    return scipy.sparse.csr_matrix(
+        (np.concatenate([C.data, C.data, rb.diag]),
+         (np.concatenate([i, j, k]), np.concatenate([j, i, k]))),
+        shape=(len(k), len(k)))
+
+
 @pytest.mark.parametrize("build", [
     lambda: GridDomain.ball(2, nodes_per_axis=10, pole=[0.1, 0.0, -0.05, 0.0]),
     lambda: quartic_translation_family((0.4, 0.0), rho=0.4).domain_at(0.0, 12),
@@ -508,7 +536,8 @@ def stencil_reference(dom, c_values):
 def test_assemble_matches_stencil(build):
     dom = build()
     for c_values in (None, np.linspace(0.0, 3.0, dom.n_interior)):
-        A, bfaces = dom.assemble(c_values)
+        rb, bfaces = dom.assemble(c_values)
+        A = full_matrix(rb)
         A_ref, bfaces_ref = stencil_reference(dom, c_values)
         assert A.shape == A_ref.shape
         assert (A - A_ref).nnz == 0
@@ -516,6 +545,160 @@ def test_assemble_matches_stencil(build):
         for got, want in zip(bfaces, bfaces_ref):
             for g, w in zip(got, want):
                 np.testing.assert_array_equal(g, w)
+
+
+# -- the red/black reduction against the full system ------------------------------
+
+def annulus_c(pts):
+    r = np.linalg.norm(pts, axis=-1)
+    return 3.0 * ((r > 0.3) & (r < 0.8)) * np.sin(np.pi * (r - 0.3) / 0.5) ** 2
+
+
+# (domain builder, c_spec): the pole is the domain's own
+REDUCTION_CASES = {
+    "ball-10": (lambda: GridDomain.ball(
+        2, nodes_per_axis=10, pole=[0.1, 0.0, -0.05, 0.0]), None),
+    "quartic-12": (lambda: quartic_translation_family(
+        (0.4, 0.0), rho=0.4).domain_at(0.0, 12), None),
+    "quartic-12-annulus": (lambda: quartic_translation_family(
+        (0.4, 0.0), rho=0.4).domain_at(0.0, 12), annulus_c),
+    "disk-33": (lambda: GridDomain.ball(
+        1, nodes_per_axis=33, pole=[0.2, -0.1]), None),
+}
+
+
+def reference_rhs(dom, bfaces, c_values, pole):
+    """b = -(weight) Q0(cut point) per cut arm, minus 2 c Q0 per node."""
+    b = np.zeros(dom.n_interior)
+    for i, w, p in bfaces:
+        np.add.at(b, i, -w * fundamental_solution(dom.n, p, pole))
+    if c_values is not None:
+        b -= 2.0 * c_values * fundamental_solution(
+            dom.n, dom.interior_points, pole)
+    return b
+
+
+def parity(dom, rows):
+    """Grid-index sum mod 2 of interior nodes given by interior index."""
+    flat = np.flatnonzero(dom.interior)[rows]
+    return np.sum(np.unravel_index(flat, dom.interior.shape), axis=0) % 2
+
+
+@pytest.mark.parametrize("name", sorted(REDUCTION_CASES))
+def test_couplings_join_opposite_parity(name):
+    """The elimination's precondition: in the node-by-node stencil every
+    off-diagonal entry joins nodes of opposite index parity, and the
+    assembled colours are the parities."""
+    build, c_spec = REDUCTION_CASES[name]
+    dom = build()
+    c_values = None if c_spec is None else c_spec(dom.interior_points)
+    A_ref, _ = stencil_reference(dom, c_values)
+    A_ref = A_ref.tocoo()
+    off = A_ref.row != A_ref.col
+    assert np.any(off)
+    assert np.all(parity(dom, A_ref.row[off]) != parity(dom, A_ref.col[off]))
+    rb, _ = dom.assemble(c_values)
+    assert np.all(parity(dom, rb.red) == 0)
+    assert np.all(parity(dom, rb.black) == 1)
+    np.testing.assert_array_equal(np.sort(np.concatenate([rb.red, rb.black])),
+                                  np.arange(dom.n_interior))
+
+
+@pytest.mark.parametrize("name", sorted(REDUCTION_CASES))
+def test_reduced_solve_matches_direct(name):
+    """u from CG on the Schur complement equals a direct solve of the full
+    reference system, and the reported residual is that system's."""
+    build, c_spec = REDUCTION_CASES[name]
+    dom = build()
+    c_values = None if c_spec is None else c_spec(dom.interior_points)
+    fld = solve_green(dom, c_spec)
+    A_ref, bfaces_ref = stencil_reference(dom, c_values)
+    b = reference_rhs(dom, bfaces_ref, c_values, dom.pole)
+    u_ref = scipy.sparse.linalg.spsolve(A_ref.tocsc(), b)
+    # |u - u_ref| <= |A u - b| / lambda_min(A), which the stopping rule keeps
+    # below 1e-8 |u_ref| on the 4-D domains; on the disk lambda_min is smaller
+    # and the same rule allows about 1e-7 (the full-matrix Jacobi-CG solve
+    # read 2e-8 on the 25-node disk)
+    lam_min = scipy.sparse.linalg.eigsh(A_ref, k=1, sigma=0, which="LM",
+                                        return_eigenvectors=False)[0]
+    err = np.linalg.norm(fld.u - u_ref)
+    assert err <= (1 + 1e-6) * np.linalg.norm(A_ref @ fld.u - b) / lam_min \
+        + 1e-12 * np.linalg.norm(u_ref)
+    if dom.n == 2:
+        assert err <= 1e-8 * np.linalg.norm(u_ref)
+    want = np.linalg.norm(A_ref @ fld.u - b) / np.linalg.norm(b)
+    # the two products round differently: bound that by the row sums of |A||u|
+    slack = (16 * np.finfo(float).eps
+             * np.linalg.norm(abs(A_ref) @ abs(fld.u) + abs(b))
+             / np.linalg.norm(b))
+    assert abs(fld.residual - want) <= slack
+    assert fld.residual < 1e-9
+
+
+def jacobi_cg(A, b, rtol, maxiter):
+    """CG with the Jacobi preconditioner on the full matrix, as the solver
+    ran before the red/black reduction; returns (u, iterations)."""
+    dinv = 1.0 / A.diagonal()
+    M = scipy.sparse.linalg.LinearOperator(A.shape, matvec=lambda x: dinv * x)
+    iters = [0]
+
+    def count(_):
+        iters[0] += 1
+
+    u, info = scipy.sparse.linalg.cg(A, b, rtol=rtol, atol=0.0,
+                                     maxiter=maxiter, M=M, callback=count)
+    assert info == 0
+    return u, iters[0]
+
+
+@pytest.mark.parametrize("pole", [None, [0.3, 0.1, 0.0, -0.2]],
+                         ids=["centre", "off-centre"])
+def test_reduced_cg_halves_iterations(pole):
+    dom = GridDomain.ball(2, nodes_per_axis=24)
+    fld = solve_green(dom, pole=pole)
+    rb, bfaces = dom.assemble()
+    A = full_matrix(rb)
+    b = reference_rhs(dom, bfaces, None, fld.pole)
+    u, iters = jacobi_cg(A, b, 1e-9, 50 * 2 * dom.m)
+    assert fld.iterations <= 0.6 * iters, (fld.iterations, iters)
+    assert np.linalg.norm(fld.u - u) <= 1e-8 * np.linalg.norm(u)
+
+
+# -- a pole that is a grid node ----------------------------------------------------
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("family", [
+    translation_family(2, (1.0, 0.0), rho=0.5), radial_family(2, 1.0, rho=0.45),
+], ids=["translated-ball", "radial"])
+def test_pole_node_check_is_quiet(family):
+    """At 17 nodes per axis the pole is the centre node: g is +inf there,
+    and the variation check runs without a numpy warning."""
+    dom = family.domain_at(0.0, 17)
+    assert all(dom.axes[d][dom.pole_node[d]] == dom.pole[d]
+               for d in range(dom.dim))
+    fld = solve_green(dom)
+    g = fld.g
+    k = dom.idx[dom.pole_node]
+    assert g[k] == np.inf
+    assert np.all(np.isfinite(np.delete(g, k)))
+    rep = second_variation_check(family, 0.0, nodes_per_axis=17)
+    assert np.isfinite(rep.lhs) and np.isfinite(rep.rhs)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_c_term_skips_pole_node():
+    """With the pole on a node, a c that vanishes there leaves the
+    right-hand side finite (the c term is formed where c > 0 only), and a c
+    that does not is refused."""
+    dom = GridDomain.ball(2, nodes_per_axis=17)
+    assert dom.interior_points[dom.idx[dom.pole_node]].tolist() == [0.0] * 4
+    lam = solve_green(dom, c_spec=annulus_c).lam
+    lam_even = solve_green(GridDomain.ball(2, nodes_per_axis=16),
+                           c_spec=annulus_c).lam
+    assert lam < solve_green(dom).lam
+    assert abs(lam - lam_even) < 0.05 * abs(lam_even)
+    with pytest.raises(ValidationError):
+        solve_green(dom, c_spec=1.0)
 
 
 def scalar_distance(domain, x):
