@@ -546,7 +546,10 @@ def _insert_row(row, pivot_rows, pivot_cols) -> bool:
 
 
 class Span:
-    """Incrementally built linear span with RREF-maintained basis."""
+    """Incrementally built linear span with RREF-maintained basis.
+
+    The exact span closure that tests/test_lie.py keeps as the oracle of
+    `lie.parabolic_closure` is built on it."""
 
     def __init__(self):
         self.rows: list[list] = []

@@ -122,7 +122,7 @@ class GridDomain:
         self.h = np.array([ax[1] - ax[0] for ax in self.axes])
         self._build_mask()
         self._build_arms()
-        self._check_pole_margin()
+        self.require_pole_ok(self.pole)
 
     # -- constructors ---------------------------------------------------------
     @classmethod
@@ -217,9 +217,6 @@ class GridDomain:
             part = slice(start, start + len(src))
             self.arms[key] = (src, theta[part], cutpts[part])
             start += len(src)
-
-    def _check_pole_margin(self):
-        self.require_pole_ok(self.pole)
 
     def require_pole_ok(self, pole):
         """Every node within POLE_MARGIN_CELLS * h (Euclidean) of the pole

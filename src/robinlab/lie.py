@@ -2,8 +2,10 @@
 
 Matrices carry Gaussian-rational entries; subspaces of M_n(C) are stored as
 canonical reduced row echelon bases over the 2n^2 real coordinates obtained by
-flattening row-major into (Re, Im) pairs.  Subalgebra closures are C-linear:
-whenever a matrix enters a span, so does its multiple by i.
+flattening row-major into (Re, Im) pairs.  Closures onto block parabolics are
+C-subalgebras that contain a base with a diagonal torus separating the other
+positions by weight, so they are sums of root spaces: `parabolic_closure`
+computes the closure of a set of positions and builds the subspace from it.
 
 Coordinates on the full flag of C^n: a group element A close to the identity
 maps to the point whose k-th coordinate block is the last column of
@@ -23,7 +25,7 @@ import numpy as np
 
 from .errors import (DimensionMismatch, NotParabolic, SingularLeadingMinor,
                      StarViolation, ValidationError)
-from .exactalg import (GAUSS_I, GaussianRational, RationalFunction, Span,
+from .exactalg import (GAUSS_I, GaussianRational, RationalFunction,
                        exact_matrix_inverse, rref)
 
 
@@ -106,13 +108,6 @@ class SquareMatrix:
 
     def __getitem__(self, idx):
         return self.rows[idx]
-
-    def mul_i(self):
-        """i times self, entrywise (Re, Im) -> (-Im, Re)."""
-        out = SquareMatrix.__new__(SquareMatrix)
-        out.n = self.n
-        out.rows = tuple(tuple(x.mul_i() for x in r) for r in self.rows)
-        return out
 
     def is_upper_triangular(self):
         return all(not self.rows[i][j] for i in range(self.n) for j in range(i))
@@ -301,10 +296,11 @@ class ClosureBase:
 
     `positions` is the set of (row, col) (0-based) the base may occupy; it
     must be closed under matrix composition so that the base is a bracket-
-    closed subspace.  `parabolic_closure` brackets with the elementary
-    matrices E_ij at these positions and tracks only the complement part of
-    what it finds (`complement_part`, `complement_coords`); the base itself
-    enters the result through `basis_matrices`.
+    closed subspace.  Its diagonal positions span a torus, and the base must
+    separate its `complement` by weight: the weights e_i - e_j of the
+    complement positions (i, j), read on the base's diagonal positions, are
+    pairwise distinct.  `parabolic_closure` needs this to work on positions
+    alone; a base without it raises ValidationError.
     """
 
     def __init__(self, n: int, positions: frozenset[tuple[int, int]], name: str):
@@ -318,26 +314,15 @@ class ClosureBase:
                         f"base pattern not bracket-closed: ({i},{j})*({k},{l})")
         self.complement = [(i, j) for i in range(n) for j in range(n)
                            if (i, j) not in positions]
-        self._cindex = {pos: 2 * k for k, pos in enumerate(self.complement)}
-
-    def basis_matrices(self):
-        out = []
-        for (i, j) in sorted(self.positions):
-            E = SquareMatrix.elementary(self.n, i + 1, j + 1)
-            out.append(E)
-            out.append(GAUSS_I * E)
-        return out
-
-    def complement_part(self, X: SquareMatrix) -> SquareMatrix:
-        return SquareMatrix([[X.rows[i][j] if (i, j) not in self.positions else 0
-                              for j in range(self.n)] for i in range(self.n)])
-
-    def complement_coords(self, X: SquareMatrix) -> list[Fraction]:
-        out = []
+        torus = [k for k in range(n) if (k, k) in positions]
+        seen = {}
         for (i, j) in self.complement:
-            out.append(X.rows[i][j].re)
-            out.append(X.rows[i][j].im)
-        return out
+            weight = tuple((i == k) - (j == k) for k in torus)
+            if weight in seen:
+                raise ValidationError(
+                    f"base torus does not separate complement positions "
+                    f"{seen[weight]} and {(i, j)}")
+            seen[weight] = (i, j)
 
     def subspace(self) -> MatrixSubspace:
         return MatrixSubspace.from_positions(self.n, self.positions)
@@ -357,7 +342,10 @@ def hopf_base(n: int) -> ClosureBase:
 
 
 def _bracket_with_elementary(X: SquareMatrix, i: int, j: int) -> SquareMatrix:
-    """[X, E_ij] (0-based indices) in O(n): column move minus row move."""
+    """[X, E_ij] (0-based indices) in O(n): column move minus row move.
+
+    The step of the exact span closure that tests/test_lie.py keeps as the
+    oracle of `parabolic_closure`."""
     n = X.n
     rows = [list(r) for r in SquareMatrix.zero(n).rows]
     for r in range(n):
@@ -371,47 +359,47 @@ def parabolic_closure(generators: Sequence[SquareMatrix],
                       base: ClosureBase) -> MatrixSubspace:
     """Smallest C-subalgebra containing base and generators.
 
-    Complement parts enter a span and are bracketed with the base's
-    elementary matrices and with each other until no bracket enlarges the
-    span.  Terminates: the complement span grows strictly, bounded by
-    2 n (n-1) real dimensions.
+    The answer is a pattern of positions.  Let V be that subalgebra.  V
+    contains the base, hence its diagonal torus t, and [t, V] lies in V, so V
+    is the sum of its weight spaces V_w (Humphreys, Introduction to Lie
+    Algebras and Representation Theory, section 8).  Each weight space of
+    M_n(C) is base_w plus comp_w, and comp_w is at most one position because
+    the base separates its complement by weight.  So V_w = base_w + (V_w
+    intersect comp_w) and V is spanned by the E_ij at the base's positions
+    and at a set S of complement positions.
 
-    The result V is also invariant under Ad of the base's group: V contains
+    S starts as the complement positions where some generator has a nonzero
+    entry (the weight-w part of a generator lies in V).  It grows under
+    [E_ij, E_kl] = delta_jk E_il - delta_li E_kj against every base position
+    and every member of S: a term whose position lies outside the base joins
+    S (the term's weight is shared by the other term, so at most one of them
+    is a complement position).  At the fixpoint the positions are closed
+    under these brackets, so their span is a subalgebra.
+
+    The result is also invariant under Ad of the base's group: V contains
     the base b and [b, V] lies in V, so for every Y in b the map
     Ad(exp Y) = exp(ad Y) preserves V, and the group is generated by such
     exponentials (I + s E_ij = exp(s E_ij) for i != j, and a diagonal
-    rescaling by u > 0 in slot k is exp(log(u) E_kk)); see Humphreys,
-    Introduction to Lie Algebras and Representation Theory, section 8.
-    tests/test_lie.py checks this invariance directly.
+    rescaling by u > 0 in slot k is exp(log(u) E_kk)).  tests/test_lie.py
+    checks this invariance directly, and checks the result against an
+    exact span closure over Q(i).
     """
     n = base.n
     for g in generators:
         if g.n != n:
             raise DimensionMismatch("generator size differs from base")
-    span = Span()
-    base_positions = sorted(base.positions)
-    processed: list[SquareMatrix] = []
-    pending: list[SquareMatrix] = []
-
-    def offer(X: SquareMatrix):
-        # a span that picks up X picks up iX too: complex linearity
-        for M in (X, X.mul_i()):
-            C = base.complement_part(M)
-            if span.add(base.complement_coords(C)):
-                pending.append(C)
-
-    for g in generators:
-        offer(g)
+    found = {(i, j) for (i, j) in base.complement
+             if any(g.rows[i][j] for g in generators)}
+    pending = list(found)
     while pending:
-        X = pending.pop()
-        for (i, j) in base_positions:
-            # [X, c E_ij] for all complex c is covered: offer() adds both
-            # the bracket and its i-multiple
-            offer(_bracket_with_elementary(X, i, j))
-        for Y in processed:
-            offer(bracket(X, Y))
-        processed.append(X)
-    return MatrixSubspace(n, base.basis_matrices() + processed)
+        i, j = pending.pop()
+        for (k, l) in [*base.positions, *found]:
+            terms = ([(i, l)] if j == k else []) + ([(k, j)] if l == i else [])
+            for pos in terms:
+                if pos not in base.positions and pos not in found:
+                    found.add(pos)
+                    pending.append(pos)
+    return MatrixSubspace.from_positions(n, base.positions | found)
 
 
 # ---------------------------------------------------------------------------

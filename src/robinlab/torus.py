@@ -43,10 +43,6 @@ def scalar(value) -> RationalFunction:
 AlgebraicScalar = RationalFunction
 
 
-def is_rational_constant(x: AlgebraicScalar) -> bool:
-    return x.is_constant()
-
-
 def has_positive_xi_degree(x: AlgebraicScalar) -> bool:
     """Formalization of "this quantity is irrational": xi survives reduction."""
     return x.degree > 0
@@ -234,7 +230,7 @@ def classify_direction(a: AlgebraicScalar, b: AlgebraicScalar,
         if not a:
             return TorusDirection(a, b, CaseTag.BETA_ZERO,
                                   closure_note="closed one-dimensional torus factor")
-        if is_rational_constant(a):
+        if a.is_constant():
             av = a.constant_value()
             # a = q/p with the closed curve through the primitive point (p, q)
             p, q = av.denominator, av.numerator
@@ -242,7 +238,7 @@ def classify_direction(a: AlgebraicScalar, b: AlgebraicScalar,
                                   slope_point=(p, q),
                                   closure_note="closed curve x dense factor")
         w = scalar(1) / a - xi()
-        if is_rational_constant(w):
+        if w.is_constant():
             wv = w.constant_value()
             return TorusDirection(a, b, CaseTag.B_ZERO_XI_RATIONAL,
                                   slope_point=(wv.denominator, wv.numerator),

@@ -246,36 +246,6 @@ class RadialFamily(DomainFamily):
         return np.full(np.asarray(Z).shape[:-1], -0.5)
 
 
-class StaticFamily(DomainFamily):
-    """D(t) = D0 for all t."""
-
-    def __init__(self, shape, rho=0.5, pole=None, pad=0.08):
-        n = shape.n
-        reach = shape.bounding_radius() * (1 + pad)
-        pole = np.zeros(2 * n) if pole is None else np.asarray(pole, float)
-        super().__init__(n, rho, pole, -np.ones(2 * n) * reach,
-                         np.ones(2 * n) * reach)
-        self.shape = shape
-
-    def psi(self, t, Z):
-        return self.shape.value(Z)
-
-    def psi_z(self, t, Z):
-        return self.shape.grad(Z)
-
-    def psi_t(self, t, Z):
-        return np.zeros(np.asarray(Z).shape[:-1], dtype=complex)
-
-    def psi_zzbar(self, t, Z):
-        return self.shape.hess_mixed(Z)
-
-    def psi_tzbar(self, t, Z):
-        return np.zeros(np.asarray(Z).shape, dtype=complex)
-
-    def psi_ttbar(self, t, Z):
-        return np.zeros(np.asarray(Z).shape[:-1])
-
-
 def translation_family(n=2, direction=(1.0, 0.0), radius=1.0, rho=0.5):
     return TranslationFamily(BallShape(n, radius), direction, rho=rho)
 
@@ -285,7 +255,8 @@ def radial_family(n=2, base_radius=1.0, rho=0.45):
 
 
 def static_family(n=2, radius=1.0, rho=0.5):
-    return StaticFamily(BallShape(n, radius), rho=rho)
+    """D(t) = D0 for all t: the ball translated along the zero vector."""
+    return TranslationFamily(BallShape(n, radius), (0,) * n, rho=rho)
 
 
 def quartic_translation_family(direction=(0.4, 0.0), rho=0.4):

@@ -8,14 +8,16 @@ import pytest
 import scipy.linalg
 
 from robinlab.errors import (DimensionMismatch, NotParabolic,
-                             SingularLeadingMinor, StarViolation)
-from robinlab.exactalg import (GAUSS_I, GaussianRational,
+                             SingularLeadingMinor, StarViolation,
+                             ValidationError)
+from robinlab.exactalg import (GAUSS_I, GaussianRational, Span,
                                exact_matrix_inverse, exact_rank)
-from robinlab.lie import (Composition, MatrixSubspace, SquareMatrix,
+from robinlab.lie import (ClosureBase, Composition, MatrixSubspace,
+                          SquareMatrix, _bracket_with_elementary,
                           block_parabolic, bracket, conjugated_tangent,
                           extract_composition, flag_base,
                           flag_point_of_group_element, flag_tangent,
-                          grassmann_spanning_rank, hopf_base,
+                          flatten_matrix, grassmann_spanning_rank, hopf_base,
                           hopf_closure_report, minimal_parabolic_oracle,
                           parabolic_closure, random_lower_block,
                           random_upper_triangular)
@@ -215,6 +217,100 @@ def test_oracle_equivalence_random():
                 support = rng.sample(lower, rng.randint(1, 2))
                 gens.append(dense_generator(rng, bases[n], support))
         P = parabolic_closure(gens, bases[n])
+        comp = extract_composition(P)
+        assert comp == minimal_parabolic_oracle(n, gens)
+        assert P == block_parabolic(comp)
+
+
+def span_closure(generators, base):
+    """Oracle: the smallest C-subalgebra containing base and generators by
+    exact span elimination over Q(i), with no use of weights.  Complement
+    parts (and their i-multiples) enter a span and are bracketed with the
+    base's elementary matrices and with each other until no bracket enlarges
+    the span."""
+    n = base.n
+    span = Span()
+    processed, pending = [], []
+
+    def offer(X):
+        for M in (X, GAUSS_I * X):
+            C = SquareMatrix([[M.rows[i][j] if (i, j) not in base.positions
+                               else 0 for j in range(n)] for i in range(n)])
+            if span.add(flatten_matrix(C)):
+                pending.append(C)
+
+    for g in generators:
+        offer(g)
+    while pending:
+        X = pending.pop()
+        for (i, j) in sorted(base.positions):
+            offer(_bracket_with_elementary(X, i, j))
+        for Y in processed:
+            offer(bracket(X, Y))
+        processed.append(X)
+    return MatrixSubspace(n, base.subspace().basis_matrices() + processed)
+
+
+def test_closure_matches_span_oracle():
+    """Position closure against the exact span closure on random flag and
+    Hopf cases, n = 2..5: elementary and dense generators, including Hopf
+    generators with a lower first-column entry (escapes to M_n)."""
+    rng = random.Random(2024)
+    bases = {(make, n): make(n) for make in (flag_base, hopf_base)
+             for n in (2, 3, 4, 5)}
+    escapes = 0
+    for case in range(120):
+        make = (flag_base, hopf_base)[case % 2]
+        n = rng.choice([2, 3, 4, 5])
+        base = bases[make, n]
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            if rng.random() < 0.3:
+                i, j = rng.choice(base.complement)
+                gens.append(E(n, i + 1, j + 1))
+            else:
+                support = rng.sample(base.complement,
+                                     rng.randint(0, min(2, len(base.complement))))
+                gens.append(dense_generator(rng, base, support))
+        P = parabolic_closure(gens, base)
+        Q = span_closure(gens, base)
+        assert P.rows == Q.rows
+        escapes += make is hopf_base and P.dim_real == 2 * n * n
+    assert escapes >= 10
+
+
+def test_closure_base_weight_separation():
+    """Strictly upper triangular matrices are bracket-closed but hold no
+    torus, so every complement position has weight zero and the base is
+    refused; the flag and Hopf bases separate their complements."""
+    for n in (2, 3, 4):
+        strict = frozenset((i, j) for i in range(n) for j in range(i + 1, n))
+        with pytest.raises(ValidationError):
+            ClosureBase(n, strict, "strict-upper")
+    for n in range(1, 11):
+        assert len(flag_base(n).complement) == n * (n - 1) // 2
+        assert len(hopf_base(n).complement) == n
+
+
+@pytest.mark.parametrize("n", [8, 9, 10])
+def test_oracle_equivalence_large_n(n):
+    """Closure and extracted composition against the brute-force minimal
+    parabolic beyond the criterion's n <= 5.  Each generator is a
+    subdiagonal entry near the diagonal (so that most closures stay proper
+    parabolics) plus a Gaussian-rational multiple of an upper entry; the
+    oracle's 2^(n-1) membership tests keep dense generators out of reach."""
+    rng = random.Random(100 + n)
+    base = flag_base(n)
+    near = [(i, j) for (i, j) in base.complement if i - j <= 2]
+    upper = sorted(base.positions)
+    for _ in range(3):
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            i, j = rng.choice(near)
+            k, l = rng.choice(upper)
+            gens.append(E(n, i + 1, j + 1)
+                        + random_gauss(rng) * E(n, k + 1, l + 1))
+        P = parabolic_closure(gens, base)
         comp = extract_composition(P)
         assert comp == minimal_parabolic_oracle(n, gens)
         assert P == block_parabolic(comp)
